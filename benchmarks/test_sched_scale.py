@@ -19,62 +19,23 @@ Two suites, both driven by the shared harness in
 
 ``RUPAM_BENCH_SCALE=paper`` runs the historical paper grid; the default
 smoke tier now includes the 1000 x 10k acceptance point.
-
-A third suite covers the sharded full-simulation engine
-(:mod:`repro.simulate.shard`): ``test_dispatch_scale`` attaches its tier
-ladder (``shard_tiers``) to the same artifact, ``test_shard_determinism``
-holds shards ∈ {1, 2, 4} byte-identical (against the committed golden
-signatures), and ``test_shard_speedup`` gates the forked executor's
-wall-clock win on machines with >=4 cores.  ``RUPAM_BENCH_SHARD_XL=1``
-extends the ladder with the 100k-node x 1M-task tier (minutes of wall
-time; used to regenerate the committed artifact).
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-import pytest
-
 from benchmarks._legacy_sched import LegacyDispatcher, LegacyTaskQueues
 from benchmarks.conftest import emit
-from repro.experiments.schedbench import (
-    SHARD_GRIDS,
-    format_shard_table,
-    format_table,
-    run_grid,
-    run_shard_tiers,
-    run_shard_world,
-    run_vec_tiers,
-    shard_signature,
-)
+from repro.experiments.schedbench import format_table, run_grid, run_vec_tiers
 
 _LEGACY = (LegacyDispatcher, LegacyTaskQueues)
-_SHARD_GOLDEN = "benchmarks/golden/sched_scale_shard_baseline.json"
-
-
-def _shard_tier_name(bench_scale: str) -> str:
-    return bench_scale if bench_scale in SHARD_GRIDS else "smoke"
 
 
 def test_dispatch_scale(bench_scale, bench_artifact):
     rows = run_grid(bench_scale, repeats=3, legacy=_LEGACY)
     rows += run_vec_tiers(bench_scale)
-    shard_rows = run_shard_tiers(
-        _shard_tier_name(bench_scale), shards=4, workers=os.cpu_count()
-    )
-    if os.environ.get("RUPAM_BENCH_SHARD_XL"):
-        shard_rows += run_shard_tiers(
-            "scale", shards=16, workers=os.cpu_count()
-        )
     bench_artifact.name = "sched_scale"
-    bench_artifact.attach(
-        {"scale": bench_scale, "grid": rows, "shard_tiers": shard_rows}
-    )
+    bench_artifact.attach({"scale": bench_scale, "grid": rows})
     emit(format_table(rows))
-    emit(format_shard_table(shard_rows))
-    assert all(r["signatures_identical"] for r in shard_rows), shard_rows
     top = [r for r in rows if not r.get("vectorized_only")][-1]
     # The batch-pass acceptance gate: >=3x over the incremental engine at
     # the largest tier both engines run (1000 nodes x 10k tasks).
@@ -88,61 +49,6 @@ def test_dispatch_scale(bench_scale, bench_artifact):
     else:
         # Smoke tier: small grids are noisier; just require no regression.
         assert top["speedup"] >= 1.0, f"regression at smoke scale: {top['speedup']}x"
-
-
-def test_shard_determinism(bench_artifact):
-    """shards=2 must be byte-identical to shards=1 — always, on every
-    machine — and the smoke-tier signatures must match the committed
-    golden baseline (cross-commit determinism, the fig5-golden idiom)."""
-    n_nodes, n_tasks = SHARD_GRIDS["smoke"][0]
-    sigs = {}
-    for shards in (1, 2, 4):
-        _, snaps = run_shard_world(n_nodes, n_tasks, shards=shards, workers=1)
-        sigs[shards] = shard_signature(snaps)
-    byte_identical = len(set(sigs.values())) == 1
-    golden = {
-        (t["nodes"], t["tasks"]): t["signature"]
-        for t in json.load(open(_SHARD_GOLDEN))["tiers"]
-    }
-    golden_sig = golden.get((n_nodes, n_tasks))
-    bench_artifact.name = "sched_scale_shard"
-    bench_artifact.attach(
-        {
-            "nodes": n_nodes,
-            "tasks": n_tasks,
-            "signatures": sigs,
-            "byte_identical": byte_identical,
-            "matches_golden": sigs[1] == golden_sig,
-        }
-    )
-    emit(f"shard determinism {n_nodes}x{n_tasks}: "
-         f"{'identical' if byte_identical else 'DIVERGED'} "
-         f"({sigs[1][:16]})")
-    assert byte_identical, sigs
-    assert sigs[1] == golden_sig, (
-        f"shard signature drifted from golden: {sigs[1]} != {golden_sig}"
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="forked-executor speedup needs >=4 cores",
-)
-def test_shard_speedup(bench_artifact):
-    """The forked executor must be >=1.8x over serial at the top shared
-    shard tier (5000 nodes x 50k tasks) on a >=4-core machine."""
-    n_nodes, n_tasks = SHARD_GRIDS["smoke"][-1]
-    rows = run_shard_tiers("smoke", shards=4, workers=4)
-    top = [r for r in rows if (r["nodes"], r["tasks"]) == (n_nodes, n_tasks)][0]
-    bench_artifact.name = "sched_scale_shard_speedup"
-    bench_artifact.attach(top)
-    emit(format_shard_table(rows))
-    assert top["signatures_identical"], top
-    assert "shard_speedup" in top, "forked run did not happen"
-    assert top["shard_speedup"] >= 1.8, (
-        f"forked executor only {top['shard_speedup']}x over serial at "
-        f"{n_nodes}x{n_tasks}"
-    )
 
 
 def test_fig5_decision_parity(bench_artifact):

@@ -12,19 +12,14 @@ Usage::
 
 from __future__ import annotations
 
+from repro.api import Session
 from repro.cluster.cluster import Cluster
 from repro.cluster.hardware import CpuSpec, DiskSpec, GpuSpec, NodeSpec
-from repro.core.rupam import RupamScheduler
 from repro.simulate.engine import Simulator
 from repro.simulate.randomness import RandomSource
-from repro.simulate.trace import TraceRecorder
 from repro.spark.application import Application, Job
 from repro.spark.blocks import BlockManager
 from repro.spark.conf import SparkConf
-from repro.spark.default_scheduler import DefaultScheduler
-from repro.spark.driver import Driver
-from repro.spark.scheduler import SchedulerContext
-from repro.spark.shuffle import ShuffleManager
 from repro.spark.stage import Stage, StageKind
 from repro.spark.task import TaskSpec
 
@@ -94,25 +89,16 @@ def my_app(blocks: BlockManager, node_names: list[str], rng: RandomSource) -> Ap
 
 
 def run(scheduler_name: str) -> float:
-    sim = Simulator()
-    cluster = my_cluster(sim)
-    rng = RandomSource(11)
-    blocks = BlockManager(
-        {rack: [n.name for n in nodes] for rack, nodes in cluster.racks.items()}
-    )
-    app = my_app(blocks, [n.name for n in cluster], rng)
-    ctx = SchedulerContext(
-        sim=sim,
+    s = Session(
+        cluster=my_cluster,
+        scheduler=scheduler_name,
+        seed=11,
         conf=SparkConf().with_overrides(executor_memory_mb=24 * 1024.0),
-        cluster=cluster,
-        blocks=blocks,
-        shuffle=ShuffleManager(),
-        rng=rng,
-        trace=TraceRecorder(enabled=False),
+        monitor_interval=None,
         driver_node="compute0",
     )
-    scheduler = DefaultScheduler() if scheduler_name == "spark" else RupamScheduler()
-    result = Driver(ctx, scheduler).run(app)
+    s.submit(my_app(s.blocks, [n.name for n in s.cluster], s.rng))
+    (result,) = s.run_until_idle()
     return result.runtime_s
 
 

@@ -14,21 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.api import Session
 from repro.core.characterize import classify_record
 from repro.core.config import RupamConfig
-from repro.core.rupam import RupamScheduler
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.report import render_table
-from repro.experiments.runner import CLUSTERS, DRIVER_NODES, RunSpec
-from repro.simulate.engine import Simulator
-from repro.simulate.randomness import RandomSource
-from repro.simulate.trace import TraceRecorder
-from repro.spark.blocks import BlockManager
-from repro.spark.driver import Driver
-from repro.spark.scheduler import SchedulerContext
-from repro.spark.shuffle import ShuffleManager
-from repro.workloads.base import WorkloadEnv
-from repro.workloads.registry import build_workload
 
 
 def main() -> None:
@@ -38,23 +28,10 @@ def main() -> None:
     print()
 
     print("What DB_task_char learned in one 4-iteration LR run:")
-    spec = RunSpec(workload="lr", scheduler="rupam", seed=7, monitor_interval=None,
-                   workload_overrides={"iterations": 4})
-    sim = Simulator()
-    cluster = CLUSTERS[spec.cluster](sim)
-    rng = RandomSource(spec.seed)
-    blocks = BlockManager(
-        {rack: [n.name for n in nodes] for rack, nodes in cluster.racks.items()}
-    )
-    env = WorkloadEnv(cluster=cluster, blocks=blocks, rng=rng)
-    app = build_workload(spec.workload, env, **spec.workload_overrides)
-    ctx = SchedulerContext(
-        sim=sim, conf=spec.make_conf(), cluster=cluster, blocks=blocks,
-        shuffle=ShuffleManager(), rng=rng, trace=TraceRecorder(enabled=False),
-        driver_node=DRIVER_NODES[spec.cluster],
-    )
-    scheduler = RupamScheduler()
-    result = Driver(ctx, scheduler).run(app)
+    s = Session(cluster="hydra", scheduler="rupam", seed=7, monitor_interval=None)
+    s.submit("lr", iterations=4)
+    (result,) = s.run_until_idle()
+    scheduler, ctx = s.scheduler, s.ctx
     print(f"  runtime: {result.runtime_s:.1f}s")
 
     cfg = RupamConfig()

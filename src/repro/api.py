@@ -25,7 +25,6 @@ from typing import Any
 from repro.cluster.cluster import Cluster
 from repro.cluster.dynamics import ClusterDynamics, ClusterEvent, ClusterTimeline
 from repro.cluster.monitor import ClusterMonitor
-from repro.cluster.partition import plan_for_cluster
 from repro.cluster.presets import (
     hydra_cluster,
     motivational_cluster,
@@ -37,8 +36,6 @@ from repro.core.taskdb import TaskCharDB
 from repro.obs.decision import Observability
 from repro.simulate.engine import Simulator
 from repro.simulate.randomness import RandomSource
-from repro.simulate.resources import set_vec_min_flows
-from repro.simulate.shard import ShardCounters, run_windowed
 from repro.simulate.trace import TraceRecorder
 from repro.spark.application import Application
 from repro.spark.blocks import BlockManager
@@ -109,15 +106,6 @@ class Session:
             policy) to play against this session's cluster.  ``None`` (the
             default) builds no dynamics machinery at all, so the run is
             byte-identical to one from before this API existed.
-        shards: logical partition count for the sharded-simulation protocol
-            (default: ``conf.sim_shards``).  ``1`` is the classic
-            single-heap run; ``N > 1`` builds a rack-partition plan
-            (:mod:`repro.cluster.partition`), drains the simulation in
-            conservative time windows, and accounts ``shard.*`` counters —
-            with results bit-identical to ``shards=1`` for any N (the
-            partition is a pure function of the topology, and windowed
-            draining replays the exact same event sequence; see
-            DESIGN.md §17).
     """
 
     def __init__(
@@ -135,7 +123,6 @@ class Session:
         observe: bool = True,
         driver_node: str | None = None,
         events: ClusterTimeline | None = None,
-        shards: int | None = None,
     ):
         # Construction order mirrors the historical run_once() exactly so a
         # one-app Session replays the same event/RNG sequence byte-for-byte.
@@ -157,10 +144,6 @@ class Session:
         elif conf_overrides:
             conf = conf.with_overrides(**conf_overrides)
         self.conf = conf
-        if conf.vec_min_flows is not None:
-            # Apply the conf-level crossover threshold (the env still wins
-            # inside the resolver; the module global is read at call time).
-            set_vec_min_flows(conf.vec_min_flows)
         self.rng = RandomSource(seed)
         self.blocks = BlockManager(
             {
@@ -185,19 +168,6 @@ class Session:
             driver_node=driver_node,
             obs=Observability(enabled=observe),
         )
-        self.shards = conf.sim_shards if shards is None else shards
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards > 1:
-            # The plan is a pure function of the rack topology: shard
-            # structure never depends on process placement, which is the
-            # core of the shards=N == shards=1 parity argument.
-            self.ctx.shard_plan = plan_for_cluster(
-                self.cluster, self.shards, driver_node
-            )
-            self.ctx.shard_counters = ShardCounters(
-                shards=self.ctx.shard_plan.shards
-            )
         self.monitor = (
             ClusterMonitor(
                 self.sim,
@@ -235,7 +205,7 @@ class Session:
         ``SpotPreemption`` / ``RackFailure`` / ``ExecutorFailure``), now or
         at a future simulated time.
 
-        The public successor of the test-only ``driver.kill_executor`` poke::
+        For example::
 
             s = Session(cluster="hydra", scheduler="rupam")
             s.submit("lr", size_gb=4.0)
@@ -283,24 +253,7 @@ class Session:
 
         Raises if any app is still unfinished when the event queue drains
         (or ``until`` cuts the run short)."""
-        if self.ctx.shard_counters is not None:
-            # Conservative-window drain: chained run(until=bound) calls are
-            # bit-identical to one monolithic run() (the windowed-equivalence
-            # regression tests pin this), so shards=N reproduces shards=1
-            # exactly while exercising the barrier discipline.
-            stats = run_windowed(
-                self.sim, self.conf.shard_window_s, until=until
-            )
-            sc = self.ctx.shard_counters
-            sc.windows += stats.windows
-            sc.barrier_waits += stats.barrier_waits
-            sc.lookahead_samples.extend(stats.lookahead_samples)
-            # The driver's quiesce flush fires when the last app finishes,
-            # before the tail windows are accounted — flush the remainder
-            # now that the sim is idle (delta-tracked, no double counting).
-            self.ctx.obs.record_shard_counters(sc)
-        else:
-            self.sim.run(until=until)
+        self.sim.run(until=until)
         unfinished = [h.app.name for h in self.handles if h.is_active]
         if unfinished:
             raise RuntimeError(

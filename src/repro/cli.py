@@ -205,33 +205,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"top shared-tier speedup: {result['top_shared_speedup']:.2f}x")
         return 0
 
-    if args.shards:
-        from repro.experiments.schedbench import (
-            SHARD_GRIDS,
-            format_shard_table,
-            run_shard_tiers,
-        )
-
-        # The sharded-simulation ladder has its own smoke/paper/scale tiers;
-        # map the shared flag's "bench" onto the paper grid.
-        tier = args.scale if args.scale in SHARD_GRIDS else "paper"
-        rows = run_shard_tiers(tier, shards=args.shards, workers=args.workers)
-        print(format_shard_table(rows))
-        return 0 if all(r["signatures_identical"] for r in rows) else 1
-
     from repro.experiments.schedbench import format_table, run_grid, run_vec_tiers
 
-    legacy = None
-    try:
-        # The frozen pre-rewrite engine ships with the repo's benchmark
-        # suite, not the installed package; include it when available.
-        from benchmarks._legacy_sched import LegacyDispatcher, LegacyTaskQueues
-
-        legacy = (LegacyDispatcher, LegacyTaskQueues)
-    except ImportError:
-        print("(benchmarks._legacy_sched not importable; skipping the "
-              "legacy-engine column)")
-    rows = run_grid(args.scale, repeats=args.repeats, legacy=legacy)
+    rows = run_grid(args.scale, repeats=args.repeats)
     if not args.no_vec_tiers:
         rows += run_vec_tiers(args.scale)
     print(format_table(rows))
@@ -411,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "suite",
         choices=("scale", "apps"),
-        help="scale: dispatch-engine wall times (legacy / incremental / "
-        "batch offer pass) over a (nodes x tasks) grid; "
+        help="scale: dispatch-engine wall times (incremental / batch "
+        "offer pass) over a (nodes x tasks) grid; "
         "apps: app-axis control-plane costs (indexed fair pools vs frozen "
         "sort, plus an open-loop arrival stream with state reclamation)",
     )
@@ -429,22 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-vec-tiers",
         action="store_true",
         help="skip the vectorized-only 10k-node tier",
-    )
-    bench_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="scale suite: run the sharded full-simulation tiers with this "
-        "many rack partitions instead of the dispatch micro-benchmark "
-        "(smoke/paper/scale grids, up to 100k nodes x 1M tasks); exits "
-        "nonzero if any tier's shards=1 / serial / forked signatures differ",
-    )
-    bench_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --shards (default: RUPAM_JOBS, capped at "
-        "the shard count; 1 forces the serial executor)",
     )
     bench_p.set_defaults(fn=cmd_bench)
 

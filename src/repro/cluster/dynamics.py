@@ -86,8 +86,7 @@ class RackFailure:
 class ExecutorFailure:
     """One executor process dies; the machine stays up.
 
-    The promoted form of the old test-only ``driver.kill_executor`` poke:
-    shuffle files survive under the external shuffle service and the driver
+    Shuffle files survive under the external shuffle service and the driver
     relaunches the executor after ``conf.executor_recovery_s``.
     """
 

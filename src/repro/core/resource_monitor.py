@@ -186,13 +186,6 @@ class ResourceMonitor:
                 gpus_idle=np.array(gpu_idle_col),
                 freememory_mb=np.array(freemem_col),
             )
-            # Heartbeat batches from non-driver shards are cross-shard
-            # edges under a shard plan (DESIGN.md §17).
-            plan = self.ctx.shard_plan
-            if plan is not None and self.ctx.shard_counters is not None:
-                self.ctx.shard_counters.cross_shard_msgs += sum(
-                    1 for n in names if plan.shard_of(n) != plan.driver_shard
-                )
         self.beats += 1
         return names
 

@@ -4,8 +4,10 @@ Builds synthetic scheduling worlds — N heterogeneous nodes, T queued tasks,
 no task runtime — and times one ``dispatch()`` call per engine so every
 measured microsecond is queue maintenance, ranking, and task selection:
 
-* ``legacy`` — the frozen pre-rewrite engine (``benchmarks._legacy_sched``,
-  injected by the caller; unavailable from an installed package).
+* ``legacy`` — the frozen pre-rewrite engine (``benchmarks._legacy_sched``).
+  Only the benchmark suite passes it in (``run_grid(legacy=...)``); the
+  package itself never depends on the benchmark suite, so ``repro bench
+  scale`` omits it.
 * ``incremental`` — the PR-2 engine: incremental heaps + tombstoned task
   queues, scalar ``schedule_task`` scan (``batch_enabled = False``).
 * ``vectorized`` — the same engine with the batch offer pass on: the whole
@@ -14,21 +16,10 @@ measured microsecond is queue maintenance, ranking, and task selection:
 The grid tops out at 10k nodes × 100k tasks, a tier only the vectorized
 pass completes in CI time — the scalar scan is measured up to 1000 × 10k,
 where the CI gate requires the batch pass to be ≥3× faster.
-
-A second harness (``run_shard_tiers`` / ``repro bench scale --shards N``)
-measures the sharded *full-simulation* engine (:mod:`repro.simulate.shard`):
-N nodes of fluid work driven end-to-end through credit-based offer rounds,
-rack-partitioned across worker processes under conservative time-window
-sync.  Its tier ladder reaches 100k nodes × 1M tasks, and every
-configuration's result signature must be byte-identical across shard
-counts and executors (the determinism suite and CI gate on this).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 import time
 
 from repro.cluster.cluster import Cluster
@@ -270,361 +261,6 @@ def run_vec_tiers(scale: str) -> list[dict]:
             }
         )
     return rows
-
-
-# -- sharded full-simulation tiers (repro bench scale --shards N) -------------
-#
-# Unlike the dispatch micro-benchmark above, these tiers run a *complete*
-# simulation — N nodes of fluid task work driven by credit-based offer
-# rounds — through repro.simulate.shard's conservative-window orchestrator.
-# The model is built so its outcome is a pure function of (n_nodes,
-# n_tasks), independent of shard count, worker count, and executor:
-#
-# * node i lives on rack ``i % N_SHARD_RACKS`` — the rack topology (and so
-#   the partition) never depends on how many shards were requested;
-# * the only cross-shard edges are task-end reports (node shard -> driver
-#   shard) and credit grants (driver shard -> node shards), both emitted at
-#   round boundaries and *applied at their message timestamps* via
-#   scheduled events, never at the ambient clock of whichever barrier
-#   happened to deliver them;
-# * report ticks include only completions strictly before the tick, so a
-#   completion landing exactly on a boundary reports identically no matter
-#   how engine-internal tie-breaking ordered it against the tick;
-# * all cross-node interactions at equal timestamps are commutative (per-
-#   node FluidResources, summed credit grants), so engine seq tie-breaks —
-#   which do shift with partition membership — cannot change the outcome.
-#
-# ``shard_signature`` hashes every per-node terminal state (float bits via
-# ``float.hex``), giving the byte-equality the determinism suite and the CI
-# gate assert across shards ∈ {1, 2, 4, 7} and serial vs forked executors.
-
-SHARD_GRIDS = {
-    "smoke": [(1000, 10_000), (5000, 50_000)],
-    "paper": [(5000, 50_000), (20_000, 200_000)],
-    "scale": [(100_000, 1_000_000)],
-}
-N_SHARD_RACKS = 16
-SHARD_ROUND_S = 2.0  # offer-round period: the only cross-shard cadence
-SHARD_CREDITS0 = 4  # task credits each node starts with
-_WORK_HASH = 2654435761  # Knuth multiplicative hash, task id -> work jitter
-
-# Node service rates (work units / simulated second), cycled like _PROFILES.
-_SHARD_RATES = [2.0, 3.0, 1.6, 2.4]
-
-
-def shard_task_work(task_id: int) -> float:
-    """Deterministic work for one task, in [0.5, 1.5)."""
-    return 0.5 + ((task_id * _WORK_HASH) % 4096) / 4096.0
-
-
-def shard_bench_plan(n_nodes: int, shards: int):
-    """The rack-partition plan for a bench world of ``n_nodes`` nodes.
-
-    Computed once in the parent and captured by the program factory, so
-    serial and forked executors (and every worker) see the identical plan.
-    """
-    from repro.cluster.partition import partition_cluster
-
-    racks: dict[str, list[str]] = {
-        f"rack{r:02d}": [] for r in range(min(N_SHARD_RACKS, n_nodes))
-    }
-    for i in range(n_nodes):
-        racks[f"rack{i % N_SHARD_RACKS:02d}"].append(f"s{i}")
-    return partition_cluster(racks, shards, driver_rack="rack00")
-
-
-class ShardBenchProgram:
-    """One partition of the shard benchmark world.
-
-    Owns the nodes of its racks: each node is one
-    :class:`~repro.simulate.resources.FluidResource` running its round-robin
-    slice of the task list sequentially, gated by driver-issued credits.
-    Shard 0 additionally runs the driver: offer rounds every
-    ``SHARD_ROUND_S`` that consume task-end reports and grant one
-    replacement credit per completion.
-    """
-
-    def __init__(self, shard_id: int, plan, n_nodes: int, n_tasks: int):
-        from repro.simulate.resources import FluidResource
-        from repro.simulate.shard import ShardProgram
-
-        # Compose rather than subclass at module import: keeps schedbench
-        # importable even where only the dispatch benchmark is wanted.
-        self._base = ShardProgram(shard_id)
-        self.shard_id = shard_id
-        self.sim = self._base.sim
-        self.plan = plan
-        self.n_nodes = n_nodes
-        self.n_tasks = n_tasks
-        self.my_nodes = [
-            i
-            for i in range(n_nodes)
-            if plan.shard_of(f"s{i}") == shard_id
-        ]
-        # Per-node state: [next_ordinal, total_tasks, credits, busy, done,
-        # finish_sum, last_finish].  Task ordinal k of node i is global task
-        # id i + k * n_nodes (round-robin assignment), so work values need
-        # no storage at any scale.
-        self.nodes: dict[int, list] = {}
-        for i in self.my_nodes:
-            total = len(range(i, n_tasks, n_nodes))
-            self.nodes[i] = [0, total, SHARD_CREDITS0, False, 0, 0.0, 0.0]
-        self.resources = {
-            i: FluidResource(
-                self.sim, _SHARD_RATES[i % len(_SHARD_RATES)], name=f"s{i}"
-            )
-            for i in self.my_nodes
-        }
-        self.remaining = sum(st[1] for st in self.nodes.values())
-        # (t_done, node_id) completions not yet reported to the driver.
-        self.unreported: list[tuple[float, int]] = []
-        self.ticking = False
-        # Driver-side state (shard 0 only).
-        self.report_inbox: list[tuple[int, int]] = []  # (node_id, count)
-        self.granted_total = 0
-
-    # -- ShardProgram surface (delegated plumbing) ---------------------------
-
-    def send(self, dst, kind, payload=None, time=None):
-        self._base.send(dst, kind, payload, time=time)
-
-    def deliver(self, msgs):
-        for m in sorted(msgs, key=lambda m: m.sort_key()):
-            self.on_message(m)
-
-    def advance(self, bound):
-        self._base.advance(bound)
-
-    def next_time(self):
-        return self._base.next_time()
-
-    def take_outbox(self):
-        return self._base.take_outbox()
-
-    def status(self):
-        return (self.sim.now, self.next_time(), self.lookahead())
-
-    # -- model ---------------------------------------------------------------
-
-    def bootstrap(self) -> None:
-        for i in self.my_nodes:
-            self._maybe_start(i)
-        if self.my_nodes:
-            self._schedule_tick()
-        if self.shard_id == 0 and self.n_tasks:
-            self.sim.at(SHARD_ROUND_S, self._round)
-
-    def lookahead(self) -> float:
-        """Input horizon: the next round boundary — reports are only read
-        and grants only issued at round times, so nothing received earlier
-        can matter.  ``inf`` once this shard is fully drained of work."""
-        if self.shard_id == 0 and self.granted_total < self.n_tasks:
-            return self._next_boundary()
-        if self.remaining or self.unreported:
-            return self._next_boundary()
-        return math.inf
-
-    def on_message(self, msg) -> None:
-        if msg.kind == "ends":
-            self.report_inbox.extend(msg.payload)
-        elif msg.kind == "grant":
-            # Apply at the message timestamp, not the ambient clock: a
-            # drained shard's clock may trail the barrier bound, and credit
-            # arrival time must not depend on partition placement.
-            payload = msg.payload
-            self.sim.at(
-                max(msg.time, self.sim.now), self._apply_grants, payload
-            )
-        else:  # pragma: no cover - protocol misuse
-            raise RuntimeError(f"unknown bench message {msg.kind!r}")
-
-    def snapshot(self) -> list:
-        """Terminal per-node state, float bits exact (byte-equality food)."""
-        return [
-            (
-                i,
-                st[4],
-                st[5].hex(),
-                st[6].hex(),
-            )
-            for i, st in sorted(self.nodes.items())
-        ]
-
-    # -- node side -----------------------------------------------------------
-
-    def _maybe_start(self, i: int) -> None:
-        st = self.nodes[i]
-        if st[3] or st[2] <= 0 or st[0] >= st[1]:
-            return
-        k = st[0]
-        st[0] += 1
-        st[2] -= 1
-        st[3] = True
-        work = shard_task_work(i + k * self.n_nodes)
-        self.resources[i].acquire(work, on_complete=lambda fh, i=i: self._done(i))
-
-    def _done(self, i: int) -> None:
-        st = self.nodes[i]
-        st[3] = False
-        st[4] += 1
-        st[5] += self.sim.now
-        st[6] = self.sim.now
-        self.remaining -= 1
-        self.unreported.append((self.sim.now, i))
-        self._maybe_start(i)
-
-    def _next_boundary(self) -> float:
-        return (math.floor(self.sim.now / SHARD_ROUND_S + 1e-9) + 1) * SHARD_ROUND_S
-
-    def _schedule_tick(self) -> None:
-        if not self.ticking:
-            self.ticking = True
-            self.sim.at(self._next_boundary(), self._tick)
-
-    def _tick(self) -> None:
-        self.ticking = False
-        now = self.sim.now
-        # Strictly-before filter: a completion exactly at this boundary is
-        # reported next tick regardless of how the engine ordered it against
-        # this event — tick content is tie-break independent.
-        ready = [(t, i) for (t, i) in self.unreported if t < now]
-        if ready:
-            self.unreported = [(t, i) for (t, i) in self.unreported if t >= now]
-            counts: dict[int, int] = {}
-            for _, i in ready:
-                counts[i] = counts.get(i, 0) + 1
-            self.send(0, "ends", sorted(counts.items()), time=now)
-        if self.remaining or self.unreported:
-            self._schedule_tick()
-
-    def _apply_grants(self, payload) -> None:
-        for i, n in payload:
-            st = self.nodes[i]
-            st[2] += n
-            self._maybe_start(i)
-
-    # -- driver side (shard 0) -----------------------------------------------
-
-    def _round(self) -> None:
-        now = self.sim.now
-        if self.report_inbox:
-            counts: dict[int, int] = {}
-            for i, n in self.report_inbox:
-                counts[i] = counts.get(i, 0) + n
-            self.report_inbox = []
-            by_shard: dict[int, list[tuple[int, int]]] = {}
-            for i in sorted(counts):
-                dst = self.plan.shard_of(f"s{i}")
-                by_shard.setdefault(dst, []).append((i, counts[i]))
-                self.granted_total += counts[i]
-            for dst in sorted(by_shard):
-                self.send(dst, "grant", by_shard[dst], time=now)
-        if self.granted_total < self.n_tasks:
-            self.sim.at(now + SHARD_ROUND_S, self._round)
-
-
-def run_shard_world(
-    n_nodes: int,
-    n_tasks: int,
-    shards: int,
-    workers: int | None = None,
-    window_s: float | None = None,
-):
-    """One full shard-bench run; returns ``(sharded_sim, snapshots)``."""
-    from repro.simulate.shard import ShardedSimulation
-
-    plan = shard_bench_plan(n_nodes, shards)
-    sharded = ShardedSimulation(
-        lambda k: ShardBenchProgram(k, plan, n_nodes, n_tasks),
-        n_shards=plan.shards,
-        workers=workers,
-        window_s=math.inf if window_s is None else window_s,
-    )
-    snaps = sharded.run()
-    return sharded, snaps
-
-
-def shard_signature(snapshots: list) -> str:
-    """sha256 over the canonical JSON of per-shard terminal states.
-
-    Node states use ``float.hex`` so two runs match iff they are
-    bit-identical — the currency of the cross-shard-count determinism
-    suite and the CI byte-equality gate.
-    """
-    merged = sorted(row for snap in snapshots if snap for row in snap)
-    return hashlib.sha256(
-        json.dumps(merged, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def run_shard_tiers(
-    scale: str, shards: int = 4, workers: int | None = None
-) -> list[dict]:
-    """Timing + determinism rows for the sharded-simulation tier ladder.
-
-    Per tier: a ``shards=1`` monolithic run, a ``shards=N`` serial run
-    (same partition, one process), and — with >1 worker available — a
-    forked run.  All three must produce the same signature; the row
-    records it once plus ``signatures_identical`` for the gate.
-    """
-    from repro.simulate.shard import resolve_shard_workers
-
-    rows = []
-    for n_nodes, n_tasks in SHARD_GRIDS[scale]:
-        t0 = time.perf_counter()
-        _, mono_snaps = run_shard_world(n_nodes, n_tasks, shards=1)
-        mono_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        sharded, serial_snaps = run_shard_world(
-            n_nodes, n_tasks, shards=shards, workers=1
-        )
-        serial_s = time.perf_counter() - t0
-
-        sig = shard_signature(mono_snaps)
-        sigs = {sig, shard_signature(serial_snaps)}
-        row = {
-            "nodes": n_nodes,
-            "tasks": n_tasks,
-            "shards": sharded.n_shards,
-            "windows": sharded.counters.windows,
-            "barrier_waits": sharded.counters.barrier_waits,
-            "cross_shard_msgs": sharded.counters.cross_shard_msgs,
-            "mono_s": round(mono_s, 6),
-            "serial_s": round(serial_s, 6),
-            "signature": sig,
-        }
-        eff_workers = resolve_shard_workers(workers, sharded.n_shards)
-        if eff_workers > 1:
-            t0 = time.perf_counter()
-            _, forked_snaps = run_shard_world(
-                n_nodes, n_tasks, shards=shards, workers=eff_workers
-            )
-            forked_s = time.perf_counter() - t0
-            sigs.add(shard_signature(forked_snaps))
-            row["workers"] = eff_workers
-            row["forked_s"] = round(forked_s, 6)
-            row["shard_speedup"] = round(serial_s / forked_s, 2)
-        row["signatures_identical"] = len(sigs) == 1
-        rows.append(row)
-    return rows
-
-
-def format_shard_table(rows: list[dict]) -> str:
-    lines = [
-        "nodes   tasks     shards  windows  xmsgs   mono_s    serial_s  "
-        "forked_s  speedup  identical"
-    ]
-    for r in rows:
-        forked = f"{r['forked_s']:>8.3f}" if "forked_s" in r else "       -"
-        speed = f"{r['shard_speedup']:>6.2f}x" if "shard_speedup" in r else "      -"
-        lines.append(
-            f"{r['nodes']:>5}  {r['tasks']:>7}  {r['shards']:>6}  "
-            f"{r['windows']:>7}  {r['cross_shard_msgs']:>6}  "
-            f"{r['mono_s']:>8.3f}  {r['serial_s']:>8.3f}  {forked}  {speed}  "
-            f"{str(r['signatures_identical']):>9}"
-        )
-    return "\n".join(lines)
 
 
 def format_table(rows: list[dict]) -> str:

@@ -523,34 +523,6 @@ class Observability:
                 self.metrics.inc(name, delta)
             base[name] = value
 
-    def record_shard_counters(self, counters: Any) -> None:
-        """Fold shard-protocol accounting into the metrics registry.
-
-        ``counters`` is a :class:`~repro.simulate.shard.ShardCounters` (or
-        ``None`` — the classic single-heap run — which is a no-op).  The
-        plain-int tallies are delta-tracked against ``_sim_counter_base``
-        like :meth:`record_sim_counters`, so every quiesce point can flush
-        without double counting; pending lookahead-window samples drain
-        into the ``shard.lookahead_s`` histogram.
-        """
-        if not self.enabled or counters is None:
-            return
-        self.metrics.set_gauge("shard.shards", float(counters.shards))
-        values = {
-            "shard.windows": counters.windows,
-            "shard.barrier_waits": counters.barrier_waits,
-            "shard.cross_shard_msgs": counters.cross_shard_msgs,
-        }
-        base = self._sim_counter_base
-        for name, value in values.items():
-            delta = value - base.get(name, 0)
-            if delta or name not in self.metrics.counters:
-                self.metrics.inc(name, delta)
-            base[name] = value
-        for width in counters.lookahead_samples:
-            self.metrics.observe("shard.lookahead_s", width)
-        counters.lookahead_samples.clear()
-
     def sample_queue_depths(
         self, now: float, depths: "dict[str, int] | Callable[[], dict[str, int]]"
     ) -> None:

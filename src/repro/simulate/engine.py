@@ -223,10 +223,11 @@ class Simulator:
                 if t is None:
                     break
                 if until is not None and t > until:
-                    # Never move the clock backwards: a windowed caller (the
-                    # shard barriers chain run(until=bound) calls) may pass a
-                    # bound at or before the time the previous window parked
-                    # the clock on, and that must be a no-op, not time travel.
+                    # Never move the clock backwards: a caller chaining
+                    # run(until=t) calls (Session.run_until_idle(until=))
+                    # may pass a bound at or before the time the previous
+                    # call parked the clock on, and that must be a no-op,
+                    # not time travel.
                     self._now = max(self._now, until)
                     break
                 self.step()
@@ -237,19 +238,6 @@ class Simulator:
                     )
         finally:
             self._running = False
-
-    def flush_now(self) -> None:
-        """Run any pending end-of-instant flushes immediately.
-
-        The public entry point for callers that pause the loop mid-instant —
-        the shard barriers call it after every ``run(until=bound)`` so
-        coalesced resource refits are settled (FIFO, within this engine)
-        before cross-shard state is read.  Running a flush early is always
-        safe: ``defer`` guarantees *at most* end-of-instant latency, and
-        flushes are idempotent per registration (the list is consumed).
-        """
-        if self._flush_fns:
-            self._run_flushes()
 
     def peek_time(self) -> float | None:
         """Time of the next pending event, or None if the queue is drained.

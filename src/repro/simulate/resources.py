@@ -41,7 +41,6 @@ heaps and node RAM.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Iterable
 
 import numpy as np
@@ -56,37 +55,12 @@ _EPS = 1e-12
 _TIME_EPS = 1e-9
 
 # Active-flow count at which the array paths take over from the scalar
-# loops.  Purely a performance knob: both paths are bit-identical (the
-# parity property tests run with the threshold forced to 0 and to inf).
+# loops.  Purely a performance constant: both paths are bit-identical (the
+# waterfill parity tests compare them directly).
 # 24 keeps dense-but-small resources (e.g. a node NIC with ~16 concurrent
 # transfers) on the cheap scalar loops instead of flapping across the
-# boundary at every admit/complete.  Resolution order: RUPAM_VEC_MIN_FLOWS
-# env > SparkConf.vec_min_flows (applied per Session via
-# set_vec_min_flows) > this default.  The module global is read at call
-# time, so the knob is runtime-settable.
-VEC_MIN_FLOWS_DEFAULT = 24
-
-
-def resolve_vec_min_flows(conf_value: "int | None" = None) -> int:
-    """The effective crossover threshold; the env always wins as override."""
-    env = os.environ.get("RUPAM_VEC_MIN_FLOWS")
-    if env is not None and env.strip():
-        return int(env)
-    if conf_value is not None:
-        return int(conf_value)
-    return VEC_MIN_FLOWS_DEFAULT
-
-
-VEC_MIN_FLOWS = resolve_vec_min_flows()
-
-
-def set_vec_min_flows(conf_value: "int | None" = None) -> int:
-    """Apply a SparkConf-level threshold (env still overrides); returns the
-    value now in effect.  Sessions call this at construction when their
-    conf carries an explicit ``vec_min_flows``."""
-    global VEC_MIN_FLOWS
-    VEC_MIN_FLOWS = resolve_vec_min_flows(conf_value)
-    return VEC_MIN_FLOWS
+# boundary at every admit/complete.
+VEC_MIN_FLOWS = 24
 
 _INF = math.inf
 

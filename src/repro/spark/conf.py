@@ -74,17 +74,10 @@ class SparkConf:
     autoscale_down_idle_s: float = 30.0
     autoscale_min_nodes: int = 0
     autoscale_max_nodes: int = 4
-    # Sharded-simulation knobs (repro.simulate.shard).  ``sim_shards`` is the
-    # logical partition count a Session runs with (1 = the classic
-    # single-heap loop); ``shard_window_s`` caps how far past the earliest
-    # pending work a conservative barrier window may reach.
-    sim_shards: int = 1
-    shard_window_s: float = 5.0
-    # Engine perf toggles, promoted from the RUPAM_VEC_MIN_FLOWS /
-    # RUPAM_BATCH_DISPATCH env switches (the env still wins as an override;
-    # see resources.resolve_vec_min_flows / dispatcher.batch_dispatch_enabled).
-    # ``None`` means "no opinion": env, then the built-in default, decides.
-    vec_min_flows: int | None = None
+    # Engine perf toggle, promoted from the RUPAM_BATCH_DISPATCH env switch
+    # (the env still wins as an override; see
+    # dispatcher.batch_dispatch_enabled).  ``None`` means "no opinion": env,
+    # then the built-in default, decides.
     batch_dispatch: bool | None = None
 
     def with_overrides(self, **kwargs) -> "SparkConf":
@@ -131,12 +124,6 @@ class SparkConf:
             raise ValueError(
                 "autoscale_max_nodes must be >= autoscale_min_nodes"
             )
-        if self.sim_shards < 1:
-            raise ValueError("sim_shards must be >= 1")
-        if self.shard_window_s <= 0:
-            raise ValueError("shard_window_s must be positive")
-        if self.vec_min_flows is not None and self.vec_min_flows < 0:
-            raise ValueError("vec_min_flows must be >= 0 (or None)")
         if self.batch_dispatch is not None and not isinstance(
             self.batch_dispatch, bool
         ):

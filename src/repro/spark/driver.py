@@ -18,7 +18,6 @@ first live app and stop when the last one ends.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -347,23 +346,6 @@ class Driver:
             self.ctx.sim.at(at, self._activate, handle)
         return handle
 
-    def run(self, app: Application, until: float | None = None) -> AppResult:
-        """Execute one application to completion and return its results.
-
-        .. deprecated:: Use :meth:`submit` (or :class:`repro.api.Session`)
-           for anything beyond a single app.  This one-app shim is kept so
-           single-tenant harnesses — including the golden decision-parity
-           traces — run the exact legacy sequence byte-for-byte.
-        """
-        handle = self.submit(app)
-        self.ctx.sim.run(until=until)
-        if handle.is_active:
-            raise RuntimeError(
-                f"application {app.name} did not finish "
-                f"(simulation drained at t={self.ctx.sim.now:.1f}s)"
-            )
-        return handle.result()
-
     def active_tasksets(self) -> list[TaskSetManager]:
         return [
             ts
@@ -452,7 +434,6 @@ class Driver:
         self.ctx.obs.record_sim_counters(
             self.ctx.sim, self.ctx.cluster.fluid_resources()
         )
-        self.ctx.obs.record_shard_counters(self.ctx.shard_counters)
         self.ctx.obs.note_trace_state(self.ctx.trace)
         # Force any deferred release-compaction through (no-op unless apps
         # were reclaimed): idle memory is what's live, nothing tombstoned.
@@ -536,21 +517,6 @@ class Driver:
             self.ctx.now, "executor_up", node=node_name, heap_mb=heap, slots=slots
         )
         self.scheduler.on_executor_added(ex)
-
-    def kill_executor(self, executor: Executor) -> None:
-        """Kill one executor process (the node itself stays up).
-
-        .. deprecated:: External callers should inject an
-           :class:`~repro.cluster.dynamics.ExecutorFailure` through
-           :meth:`repro.api.Session.inject` instead of poking the driver.
-        """
-        warnings.warn(
-            "driver.kill_executor is deprecated; inject "
-            "ExecutorFailure(node=...) through Session.inject instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._fail_executor(executor)
 
     def _fail_executor(self, executor: Executor) -> None:
         """The OS killed this JVM (severe memory overcommit).
@@ -820,13 +786,6 @@ class Driver:
         if handle is not None:
             handle.runs.append(run)
         self.ctx.pools.note_launch(ts.app_id)
-        sc = self.ctx.shard_counters
-        if sc is not None and self.ctx.shard_plan.shard_of(
-            executor.node.name
-        ) != self.ctx.shard_plan.driver_shard:
-            # A launch RPC to a node outside the driver shard is a
-            # cross-shard scheduler interaction (DESIGN.md §17).
-            sc.cross_shard_msgs += 1
         self.ctx.obs.metrics.inc("tasks.launched")
         if ts.app_id:
             self.ctx.obs.metrics.inc(_app_metric(ts.app_id, "launched"))
@@ -844,12 +803,6 @@ class Driver:
             if m.succeeded
             else "oom" if m.failed_oom else "killed" if m.killed else "failed"
         )
-        sc = self.ctx.shard_counters
-        if sc is not None and self.ctx.shard_plan.shard_of(
-            run.executor.node.name
-        ) != self.ctx.shard_plan.driver_shard:
-            # Task-end callback travelling back to the driver shard.
-            sc.cross_shard_msgs += 1
         self.ctx.obs.metrics.inc(_TASK_METRIC[outcome])
         ts = run.taskset
         app_id = ts.app_id

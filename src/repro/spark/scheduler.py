@@ -23,8 +23,6 @@ from repro.spark.pools import SchedulingPools
 from repro.spark.shuffle import ShuffleManager
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.partition import ShardPlan
-    from repro.simulate.shard import ShardCounters
     from repro.spark.driver import Driver
     from repro.spark.executor import Executor
     from repro.spark.runner import TaskRun
@@ -54,11 +52,6 @@ class SchedulerContext:
     driver: "Driver | None" = field(default=None, repr=False)
     obs: Observability = field(default_factory=Observability, repr=False)
     pools: SchedulingPools = field(default_factory=SchedulingPools, repr=False)
-    # Sharded-simulation wiring (None = classic single-heap run, zero new
-    # behavior).  The plan maps nodes to logical partitions; the counters
-    # accumulate shard.* protocol accounting, flushed at quiesce points.
-    shard_plan: "ShardPlan | None" = field(default=None, repr=False)
-    shard_counters: "ShardCounters | None" = field(default=None, repr=False)
 
     @property
     def now(self) -> float:

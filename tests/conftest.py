@@ -12,6 +12,7 @@ from repro.simulate.trace import TraceRecorder
 from repro.spark.application import Application, Job
 from repro.spark.blocks import BlockManager
 from repro.spark.conf import SparkConf
+from repro.spark.driver import AppResult, Driver
 from repro.spark.scheduler import SchedulerContext
 from repro.spark.shuffle import ShuffleManager
 from repro.spark.stage import Stage, StageKind
@@ -123,6 +124,17 @@ def simple_app(
         rs = Stage(f"{template}:reduce", StageKind.RESULT, red_tasks, parents=(ms,))
         out.append(Job([ms, rs], name=f"{template}:job{j}"))
     return Application(template, out)
+
+
+def drain_app(driver: Driver, app: Application) -> AppResult:
+    """Submit ``app``, drain the driver's simulation, return its result.
+
+    ``AppHandle.result`` raises if the app is still active once the event
+    queue drains.
+    """
+    handle = driver.submit(app)
+    driver.ctx.sim.run()
+    return handle.result()
 
 
 @pytest.fixture

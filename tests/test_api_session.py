@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import Session
 from repro.experiments.runner import RunSpec, run_once
-from repro.spark.driver import Driver
 from tests.conftest import simple_app, tiny_cluster
 
 LR_SMALL = dict(size_gb=0.25, iterations=1, partitions=8, reducers=4)
@@ -98,9 +97,19 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="has not finished"):
             handle.result()
 
+    def test_removed_options_rejected(self):
+        from repro.simulate import resources
+
+        with pytest.raises(TypeError):
+            Session(shards=2)
+        with pytest.raises(TypeError):
+            Session(conf_overrides={"vec_min_flows": 2})
+        # No per-session override can leak into later sessions.
+        assert resources.VEC_MIN_FLOWS == 24
+
 
 class TestParity:
-    """The facade and the deprecated one-app paths agree byte for byte."""
+    """The facade and the run_once harness agree byte for byte."""
 
     def test_session_matches_run_once(self):
         spec = RunSpec(
@@ -118,24 +127,3 @@ class TestParity:
 
         assert via_session.runtime_s == via_spec.runtime_s
         assert _signature(via_session) == _signature(via_spec)
-
-    def test_deprecated_driver_run_matches_session(self):
-        def legacy():
-            s = Session(cluster=tiny_cluster, seed=4, monitor_interval=None)
-            app = simple_app(n_map=10)
-            return s.driver.run(app)
-
-        def facade():
-            s = Session(cluster=tiny_cluster, seed=4, monitor_interval=None)
-            h = s.submit(simple_app(n_map=10))
-            s.run_until_idle()
-            return h.result()
-
-        assert _signature(legacy()) == _signature(facade())
-
-    def test_driver_run_is_the_one_app_shim(self):
-        # Driver.run still works for code that wires a Driver by hand.
-        s = Session(cluster=tiny_cluster, seed=1, monitor_interval=None)
-        assert isinstance(s.driver, Driver)
-        res = s.driver.run(simple_app())
-        assert not res.aborted

@@ -12,7 +12,7 @@ from repro.core.rupam import RupamScheduler
 from repro.core.taskdb import TaskCharDB, TaskRecord
 from repro.simulate.engine import Simulator
 from repro.spark.driver import Driver
-from tests.conftest import hetero_cluster, make_ctx, simple_app
+from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
 
 class TestDbPersistence:
@@ -58,7 +58,7 @@ class TestDbPersistence:
         sim = Simulator()
         ctx = make_ctx(hetero_cluster(sim), seed=5)
         sched = RupamScheduler()
-        Driver(ctx, sched).run(app1)
+        drain_app(Driver(ctx, sched), app1)
         path = tmp_path / "db.json"
         saved = sched.db.save(path)
         assert saved > 0
@@ -68,7 +68,7 @@ class TestDbPersistence:
         sim2 = Simulator()
         ctx2 = make_ctx(hetero_cluster(sim2), seed=6)
         sched2 = RupamScheduler(db=db2)
-        res2 = Driver(ctx2, sched2).run(app2)
+        res2 = drain_app(Driver(ctx2, sched2), app2)
         assert not res2.aborted
         # Records carried over: runs accumulated beyond one app's worth.
         assert any(r.runs >= 3 for r in sched2.db.snapshot().values())
@@ -106,13 +106,3 @@ class TestCli:
     def test_invalid_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nope"])
-
-    def test_bench_scale_shards(self, capsys, monkeypatch):
-        from repro.experiments import schedbench
-
-        monkeypatch.setitem(schedbench.SHARD_GRIDS, "smoke", [(60, 600)])
-        rc = main(["bench", "scale", "--scale", "smoke", "--shards", "2",
-                   "--workers", "1"])
-        out = capsys.readouterr().out
-        assert rc == 0  # nonzero would mean a signature mismatch
-        assert "identical" in out and "True" in out

@@ -46,12 +46,7 @@ class TestSparkConf:
             {"autoscale_down_idle_s": -1.0},
             {"autoscale_min_nodes": -1},
             {"autoscale_min_nodes": 5, "autoscale_max_nodes": 2},
-            # Sharded-simulation and engine-tuning knobs.
-            {"sim_shards": 0},
-            {"sim_shards": -2},
-            {"shard_window_s": 0.0},
-            {"shard_window_s": -1.0},
-            {"vec_min_flows": -1},
+            # Engine-tuning knob.
             {"batch_dispatch": "yes"},
         ],
     )
@@ -59,44 +54,28 @@ class TestSparkConf:
         with pytest.raises(ValueError):
             SparkConf(**kwargs)
 
-    def test_shard_and_engine_knob_defaults(self):
-        conf = SparkConf()
-        assert conf.sim_shards == 1
-        assert conf.shard_window_s == 5.0
+    def test_engine_knob_default(self):
         # None means "engine default / env override only".
-        assert conf.vec_min_flows is None
-        assert conf.batch_dispatch is None
+        assert SparkConf().batch_dispatch is None
+
+    @pytest.mark.parametrize("field", ["sim_shards", "shard_window_s", "vec_min_flows"])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(TypeError):
+            SparkConf(**{field: 2})
 
     def test_engine_knobs_resolve_with_env_override(self, monkeypatch):
         from repro.core.dispatcher import batch_dispatch_enabled
-        from repro.simulate.resources import (
-            VEC_MIN_FLOWS_DEFAULT,
-            resolve_vec_min_flows,
-        )
 
-        monkeypatch.delenv("RUPAM_VEC_MIN_FLOWS", raising=False)
         monkeypatch.delenv("RUPAM_BATCH_DISPATCH", raising=False)
         # Conf value wins when no env var is set; default otherwise.
-        assert resolve_vec_min_flows(None) == VEC_MIN_FLOWS_DEFAULT
-        assert resolve_vec_min_flows(7) == 7
         conf = SparkConf(batch_dispatch=False)
         assert batch_dispatch_enabled(conf) is False
         assert batch_dispatch_enabled(None) is True
         # The env switch stays authoritative over the conf knob.
-        monkeypatch.setenv("RUPAM_VEC_MIN_FLOWS", "3")
         monkeypatch.setenv("RUPAM_BATCH_DISPATCH", "1")
-        assert resolve_vec_min_flows(7) == 3
         assert batch_dispatch_enabled(conf) is True
         monkeypatch.setenv("RUPAM_BATCH_DISPATCH", "0")
         assert batch_dispatch_enabled(SparkConf(batch_dispatch=True)) is False
-
-    def test_set_vec_min_flows_updates_module_global(self, monkeypatch):
-        from repro.simulate import resources
-
-        monkeypatch.delenv("RUPAM_VEC_MIN_FLOWS", raising=False)
-        monkeypatch.setattr(resources, "VEC_MIN_FLOWS", 24)
-        assert resources.set_vec_min_flows(5) == 5
-        assert resources.VEC_MIN_FLOWS == 5
 
     def test_dynamics_defaults(self):
         conf = SparkConf()

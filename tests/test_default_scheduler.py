@@ -12,7 +12,7 @@ from repro.spark.driver import Driver
 from repro.spark.locality import Locality
 from repro.spark.stage import Stage, StageKind
 from repro.spark.task import TaskSpec
-from tests.conftest import make_ctx, simple_app, tiny_cluster
+from tests.conftest import drain_app, make_ctx, simple_app, tiny_cluster
 
 
 def build_driver(conf=None, seed=1, n_nodes=3):
@@ -113,13 +113,13 @@ class TestSpeculationLoop:
     def test_loop_respects_disable(self):
         conf = SparkConf().with_overrides(speculation=False)
         sim, ctx, sched, driver = build_driver(conf=conf)
-        res = driver.run(simple_app())
+        res = drain_app(driver, simple_app())
         assert all(not m.speculative for m in res.task_metrics)
 
     def test_total_marked_counted(self):
         from repro.spark.speculation import SpeculationLoop
 
         sim, ctx, sched, driver = build_driver()
-        res = driver.run(simple_app(n_map=12, compute=30.0))
+        res = drain_app(driver, simple_app(n_map=12, compute=30.0))
         assert driver._speculation.total_marked >= 0  # loop ran and stopped
         assert sim.peek_time() is None  # no immortal tick

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulate.engine import SimulationError
+from repro.simulate.engine import SimulationError, Simulator
+from repro.simulate.resources import FluidResource
 
 
 def test_events_run_in_time_order(sim):
@@ -255,6 +256,73 @@ def test_defer_runs_before_until_break(sim):
     sim.run(until=4.0)
     assert order == [(1.0, "flush")]
     assert sim.now == 4.0
+
+
+def _fluid_world(sim):
+    """Overlapping weighted flows on one resource: every acquire and
+    completion defers a refit, so ``run(until=)`` bounds land in the middle
+    of live flush activity.  Returns the (tag, completion time) log."""
+    res = FluidResource(sim, capacity=4.0, name="bench")
+    done: list[tuple[str, float]] = []
+
+    def spawn(tag, work, weight):
+        res.acquire(
+            work,
+            weight=weight,
+            on_complete=lambda fh, t=tag: done.append((t, sim.now)),
+        )
+
+    for i in range(6):
+        sim.at(0.4 * i, spawn, f"t{i}", 1.0 + 0.37 * i, 1.0 + (i % 3))
+    return done
+
+
+def _log_hex(log):
+    return [(tag, t.hex()) for tag, t in log]
+
+
+def test_chained_run_until_equals_single_run():
+    """Chained ``run(until=t_k)`` calls replay one ``run()`` bit for bit,
+    deferred flushes at the bounds included."""
+    mono = Simulator()
+    expect = _fluid_world(mono)
+    mono.run()
+    assert len(expect) == 6
+
+    for step in (0.1, 0.5, 1.0, 3.0):
+        sim = Simulator()
+        got = _fluid_world(sim)
+        bound = 0.0
+        while sim.pending_count:
+            bound += step
+            sim.run(until=bound)
+        assert _log_hex(got) == _log_hex(expect), f"step={step}"
+
+
+def test_run_until_each_instant_equals_single_run():
+    """Zero-width windows: bounding every call at the next event instant
+    still flushes each instant exactly once."""
+    mono = Simulator()
+    expect = _fluid_world(mono)
+    mono.run()
+
+    sim = Simulator()
+    got = _fluid_world(sim)
+    while sim.pending_count:
+        sim.run(until=sim.peek_time())
+    assert _log_hex(got) == _log_hex(expect)
+
+
+def test_run_until_in_past_is_noop(sim):
+    """A bound at or before the parked clock must never move time
+    backwards (callers chain ``run(until=)`` calls)."""
+    sim.at(5.0, lambda: None)
+    sim.run(until=2.0)
+    assert sim.now == 2.0
+    sim.run(until=1.0)  # stale bound: no-op, not time travel
+    assert sim.now == 2.0
+    sim.run(until=5.0)
+    assert sim.now == 5.0
 
 
 def test_defer_runs_before_drain_report(sim):

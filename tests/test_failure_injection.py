@@ -1,9 +1,7 @@
 """Failure-injection tests: executor death, shuffle survival, recovery paths.
 
 Failures are injected through the public lifecycle API —
-``Session.inject(ExecutorFailure(node=...), at=...)`` — which replaced the
-old test-only ``driver.kill_executor`` poke (kept as a deprecation shim,
-covered at the bottom).
+``Session.inject(ExecutorFailure(node=...), at=...)``.
 """
 
 from __future__ import annotations
@@ -121,15 +119,3 @@ class TestRupamUnderFailures:
         # No dangling work after abort.
         for ex in s.driver.executors.values():
             assert not ex.running
-
-
-class TestDeprecatedKillExecutor:
-    def test_kill_executor_shim_warns_and_still_works(self):
-        s = make_session()
-        for node in s.cluster:
-            s.driver._launch_executor(node.name)
-        ex = s.driver.executors["n1"]
-        with pytest.warns(DeprecationWarning, match="Session.inject"):
-            s.driver.kill_executor(ex)
-        assert not ex.alive
-        assert s.driver.executor_kills == 1

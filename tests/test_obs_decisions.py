@@ -10,7 +10,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simulate.engine import Simulator
 from repro.spark.default_scheduler import DefaultScheduler
 from repro.spark.driver import Driver
-from tests.conftest import hetero_cluster, make_ctx, simple_app
+from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
 LAUNCH_REASONS = {
     obs.LAUNCH_LOCKED,
@@ -27,7 +27,7 @@ LAUNCH_REASONS = {
 def _run(app, sched, seed=3):
     sim = Simulator()
     ctx = make_ctx(hetero_cluster(sim), seed=seed)
-    res = Driver(ctx, sched).run(app)
+    res = drain_app(Driver(ctx, sched), app)
     assert not res.aborted
     assert res.obs is ctx.obs
     return res
@@ -213,7 +213,7 @@ class TestObservabilityOffByDefaultPath:
         sim = Simulator()
         ctx = make_ctx(hetero_cluster(sim), seed=3)
         ctx.obs = Observability(enabled=False)
-        res = Driver(ctx, RupamScheduler()).run(app)
+        res = drain_app(Driver(ctx, RupamScheduler()), app)
         assert not res.aborted
         assert not res.obs.decisions.decisions
         assert not res.obs.metrics.counters

@@ -21,7 +21,7 @@ from repro.obs.report import build_run_report
 from repro.simulate.engine import Simulator
 from repro.simulate.trace import TraceRecorder
 from repro.spark.driver import Driver
-from tests.conftest import hetero_cluster, make_ctx, simple_app
+from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def rupam_result():
     # guaranteed to contain at least one task-keyed rejection record.
     db = TaskCharDB()
     db.enqueue_update(TaskRecord(key="t:map#0", peak_memory_mb=20_000.0))
-    res = Driver(ctx, RupamScheduler(db=db)).run(simple_app(n_map=6, jobs=2))
+    res = drain_app(Driver(ctx, RupamScheduler(db=db)), simple_app(n_map=6, jobs=2))
     assert not res.aborted
     return res
 

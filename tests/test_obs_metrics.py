@@ -251,12 +251,12 @@ class TestDispatchEngineCounters:
         from repro.spark.driver import Driver
         from repro.core.rupam import RupamScheduler
         from repro.simulate.engine import Simulator
-        from tests.conftest import hetero_cluster, make_ctx, simple_app
+        from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
         sim = Simulator()
         ctx = make_ctx(hetero_cluster(sim))
         sched = RupamScheduler()
-        Driver(ctx, sched).run(simple_app(n_map=8, jobs=2))
+        drain_app(Driver(ctx, sched), simple_app(n_map=8, jobs=2))
         c = ctx.obs.metrics.counters
         assert c.get("dispatch.calls", 0) > 0
         # Every dispatch re-keys at least the nodes it launched on, so both
@@ -271,14 +271,14 @@ class TestDispatchEngineCounters:
         from repro.spark.driver import Driver
         from repro.core.rupam import RupamScheduler
         from repro.simulate.engine import Simulator
-        from tests.conftest import hetero_cluster, make_ctx, simple_app
+        from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
         sim = Simulator()
         ctx = make_ctx(hetero_cluster(sim))
         ctx.obs.enabled = False
         ctx.obs.metrics.enabled = False
         sched = RupamScheduler()
-        Driver(ctx, sched).run(simple_app(n_map=4))
+        drain_app(Driver(ctx, sched), simple_app(n_map=4))
         assert not ctx.obs.metrics.counters
 
 
@@ -337,12 +337,12 @@ class TestSimCounterExport:
         from repro.spark.driver import Driver
         from repro.core.rupam import RupamScheduler
         from repro.simulate.engine import Simulator
-        from tests.conftest import hetero_cluster, make_ctx, simple_app
+        from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
         sim = Simulator()
         ctx = make_ctx(hetero_cluster(sim))
         sched = RupamScheduler()
-        Driver(ctx, sched).run(simple_app(n_map=8, jobs=2))
+        drain_app(Driver(ctx, sched), simple_app(n_map=8, jobs=2))
         c = ctx.obs.metrics.counters
         assert c.get("sim.events_scheduled", 0) > 0
         assert c.get("sim.events_fired", 0) > 0

@@ -16,7 +16,7 @@ from repro.obs.span import APP, JOB, STAGE, TASK, Span, SpanRecorder
 from repro.simulate.engine import Simulator
 from repro.spark.default_scheduler import DefaultScheduler
 from repro.spark.driver import Driver
-from tests.conftest import hetero_cluster, make_ctx, simple_app
+from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app
 
 
 class TestSpan:
@@ -79,7 +79,7 @@ class TestSpanRecorder:
 def _run(scheduler, app=None, **app_kw):
     sim = Simulator()
     ctx = make_ctx(hetero_cluster(sim), trace=True)
-    return ctx, Driver(ctx, scheduler).run(app or simple_app(**app_kw))
+    return ctx, drain_app(Driver(ctx, scheduler), app or simple_app(**app_kw))
 
 
 class TestDriverSpanEmission:
@@ -128,7 +128,7 @@ class TestDriverSpanEmission:
         ctx.obs.metrics.enabled = False
         ctx.obs.spans.enabled = False
         ctx.obs.windows.enabled = False
-        res = Driver(ctx, RupamScheduler()).run(simple_app(n_map=4))
+        res = drain_app(Driver(ctx, RupamScheduler()), simple_app(n_map=4))
         assert not res.aborted
         assert len(ctx.obs.spans) == 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.core.config import RupamConfig
 from repro.core.nodeinfo import ResourceKind
 from repro.core.resource_monitor import ResourceMonitor
@@ -17,7 +18,7 @@ from repro.spark.executor import Executor
 from repro.spark.stage import Stage, StageKind
 from repro.spark.task import TaskSpec
 from repro.spark.taskset import TaskSetManager
-from tests.conftest import hetero_cluster, make_ctx, tiny_cluster
+from tests.conftest import drain_app, hetero_cluster, make_ctx, tiny_cluster
 
 
 class TestResourceMonitor:
@@ -70,6 +71,25 @@ class TestResourceMonitor:
         rm.forget("n1")
         assert rm.metrics_for("n1") is None
 
+    def test_collect_now_matches_scalar_reference(self):
+        """The single-pass heartbeat batch is bit-identical to the scalar
+        reference collector."""
+        s = Session(cluster="multirack", scheduler="rupam", seed=3)
+        s.submit("lr", size_gb=2.0)
+        s.sim.run(until=20.0)  # mid-flight: real utilization everywhere
+        rm = s.scheduler.rm
+        assert rm is not None
+        rm.collect_now(force=True)
+        live = [ex for ex in rm._executors() if ex.alive]
+        assert live
+        for ex in live:
+            name = ex.node.name
+            assert rm.executor_data[name] == rm._collect(ex), name
+            row = rm.table.row_of[name]
+            m = rm.executor_data[name]
+            assert rm.table.cpuutil[row] == m.cpuutil
+            assert rm.table.freememory_mb[row] == m.freememory_mb
+
 
 class TestDispatcherRules:
     """Drive the full RUPAM scheduler on crafted apps and verify Algorithm 2
@@ -81,7 +101,7 @@ class TestDispatcherRules:
         ctx = make_ctx(cluster, conf=conf, seed=seed)
         sched = RupamScheduler(cfg=cfg)
         driver = Driver(ctx, sched)
-        res = driver.run(app)
+        res = drain_app(driver, app)
         return res, sched
 
     def test_memory_check_skips_small_nodes(self):

@@ -9,7 +9,7 @@ from repro.simulate.engine import Simulator
 from repro.spark.conf import SparkConf
 from repro.spark.default_scheduler import DefaultScheduler
 from repro.spark.driver import Driver
-from tests.conftest import hetero_cluster, make_ctx, simple_app, tiny_cluster
+from tests.conftest import drain_app, hetero_cluster, make_ctx, simple_app, tiny_cluster
 
 
 def setup_driver(scheduler_cls=DefaultScheduler, cluster_fn=tiny_cluster, **conf_kw):
@@ -93,7 +93,7 @@ def test_shuffle_loss_traced_and_consumers_blocked(monkeypatch):
 def test_no_reopen_when_consumers_done(sim):
     """Losing a shuffle nobody needs anymore must not re-run anything."""
     sim2, ctx, driver = setup_driver()
-    res = driver.run(simple_app(n_map=4, compute=1.0, shuffle_mb=10.0))
+    res = drain_app(driver, simple_app(n_map=4, compute=1.0, shuffle_mb=10.0))
     assert driver._app_done
     successes_before = sum(1 for r in driver.all_runs if r.metrics.succeeded)
     # Too late to matter: app done; kill guard returns immediately.
@@ -110,6 +110,6 @@ def test_external_service_keeps_outputs():
     driver = Driver(ctx, DefaultScheduler())
     app = simple_app(n_map=4, compute=1.0, shuffle_mb=10.0)
     map_stage = next(s for s in app.jobs[0].stages if s.is_map)
-    driver.run(app)
+    drain_app(driver, app)
     before = ctx.shuffle.total_output_mb(map_stage.shuffle_id)
     assert before == pytest.approx(40.0, rel=1e-6)

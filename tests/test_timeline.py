@@ -12,7 +12,7 @@ from repro.spark.default_scheduler import DefaultScheduler
 from repro.spark.driver import AppResult, Driver
 from repro.spark.locality import Locality
 from repro.spark.metrics import TaskMetrics
-from tests.conftest import make_ctx, simple_app, tiny_cluster
+from tests.conftest import drain_app, make_ctx, simple_app, tiny_cluster
 
 
 def metric(node="n1", launch=0.0, finish=1.0, ok=True, killed=False, oom=False,
@@ -80,7 +80,7 @@ class TestFileExport:
         sim = Simulator()
         cluster = tiny_cluster(sim)
         ctx = make_ctx(cluster)
-        res = Driver(ctx, DefaultScheduler()).run(simple_app())
+        res = drain_app(Driver(ctx, DefaultScheduler()), simple_app())
         path = tmp_path / "trace.json"
         n = to_chrome_trace(res, path)
         assert n == len(res.task_metrics)
