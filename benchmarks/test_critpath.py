@@ -185,11 +185,6 @@ def _spawn_measure(
         os.environ,
         PYTHONHASHSEED="0",
         PYTHONPATH=os.pathsep.join(("src", ".")),
-        # Pin both configs to the scalar dispatch scan.  The batch offer
-        # pass only runs when decision tracing is off, so leaving it on
-        # would charge the telemetry gate for the obs-on run's foregone
-        # vectorization speedup rather than for the telemetry itself.
-        RUPAM_BATCH_DISPATCH="0",
     )
     proc = subprocess.run(
         [sys.executable, "-m", "benchmarks.test_critpath", str(reps)],

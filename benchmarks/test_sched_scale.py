@@ -1,17 +1,14 @@
-"""Dispatch-engine scale benchmarks: vectorized vs incremental vs legacy.
+"""Dispatch-engine scale benchmarks: incremental vs legacy.
 
 Two suites, both driven by the shared harness in
 :mod:`repro.experiments.schedbench` (also reachable as ``repro bench scale``):
 
 * ``test_dispatch_scale`` sweeps a (nodes x tasks) grid and times one
   dispatch call per engine on identical synthetic worlds: the frozen
-  pre-rewrite copy in :mod:`benchmarks._legacy_sched`, the PR-2 incremental
-  engine (scalar scan), and the batch offer pass (numpy masks).  The harness
-  isolates pure scheduling cost: tasks never actually run, so every timed
-  microsecond is queue maintenance, ranking, and task selection.  The
-  vectorized pass must be >=3x faster than the incremental scan at the
-  largest shared tier (1000 nodes x 10k tasks), and it alone runs the
-  10k-node x 100k-task tier.
+  pre-rewrite copy in :mod:`benchmarks._legacy_sched` and the incremental
+  engine.  The harness isolates pure scheduling cost: tasks never actually
+  run, so every timed microsecond is queue maintenance, ranking, and task
+  selection.
 * ``test_fig5_decision_parity`` proves the rewrites are behavior-preserving
   by replaying the fig5 RUPAM trials and comparing every launch decision
   against the golden trace captured before the rewrite
@@ -25,24 +22,17 @@ from __future__ import annotations
 
 from benchmarks._legacy_sched import LegacyDispatcher, LegacyTaskQueues
 from benchmarks.conftest import emit
-from repro.experiments.schedbench import format_table, run_grid, run_vec_tiers
+from repro.experiments.schedbench import format_table, run_grid
 
 _LEGACY = (LegacyDispatcher, LegacyTaskQueues)
 
 
 def test_dispatch_scale(bench_scale, bench_artifact):
     rows = run_grid(bench_scale, repeats=3, legacy=_LEGACY)
-    rows += run_vec_tiers(bench_scale)
     bench_artifact.name = "sched_scale"
     bench_artifact.attach({"scale": bench_scale, "grid": rows})
     emit(format_table(rows))
-    top = [r for r in rows if not r.get("vectorized_only")][-1]
-    # The batch-pass acceptance gate: >=3x over the incremental engine at
-    # the largest tier both engines run (1000 nodes x 10k tasks).
-    assert top["vec_speedup"] >= 3.0, (
-        f"batch pass only {top['vec_speedup']}x over incremental at "
-        f"{top['nodes']}x{top['tasks']}"
-    )
+    top = rows[-1]
     if bench_scale == "paper":
         # The PR-2 acceptance point: 1000 nodes x 10k pending tasks.
         assert top["speedup"] >= 5.0, f"expected >=5x at scale, got {top['speedup']}x"

@@ -13,7 +13,7 @@ Commands:
   (``--app`` scopes the query in multi-tenant traces).
 * ``critpath`` — run a workload and print the makespan-critical span chain.
 * ``bench`` — run a micro-benchmark (``bench scale``: dispatch-engine
-  speedup table, incremental vs batch offer pass).
+  wall times over a nodes x tasks grid).
 * ``blame`` — run a workload and decompose its makespan into blame
   categories (``--compare`` diffs spark vs rupam).
 * ``list`` — list registered workloads and figures.
@@ -205,12 +205,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"top shared-tier speedup: {result['top_shared_speedup']:.2f}x")
         return 0
 
-    from repro.experiments.schedbench import format_table, run_grid, run_vec_tiers
+    from repro.experiments.schedbench import format_table, run_grid
 
-    rows = run_grid(args.scale, repeats=args.repeats)
-    if not args.no_vec_tiers:
-        rows += run_vec_tiers(args.scale)
-    print(format_table(rows))
+    print(format_table(run_grid(args.scale, repeats=args.repeats)))
     return 0
 
 
@@ -387,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "suite",
         choices=("scale", "apps"),
-        help="scale: dispatch-engine wall times (incremental / batch "
-        "offer pass) over a (nodes x tasks) grid; "
+        help="scale: dispatch-engine wall times (incremental engine) over "
+        "a (nodes x tasks) grid; "
         "apps: app-axis control-plane costs (indexed fair pools vs frozen "
         "sort, plus an open-loop arrival stream with state reclamation)",
     )
@@ -401,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "open-loop submissions)",
     )
     bench_p.add_argument("--repeats", type=int, default=3)
-    bench_p.add_argument(
-        "--no-vec-tiers",
-        action="store_true",
-        help="skip the vectorized-only 10k-node tier",
-    )
     bench_p.set_defaults(fn=cmd_bench)
 
     cmp_p = sub.add_parser("compare", help="run under both schedulers")

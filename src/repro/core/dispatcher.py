@@ -19,10 +19,7 @@ node picks up a running CPU copy as a speculative race.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.core.config import RupamConfig
 from repro.core.nodeinfo import ALL_KINDS, NodeMetrics, ResourceKind
@@ -39,19 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.pools import AppOrder
     from repro.spark.task import TaskSpec
     from repro.spark.taskset import TaskSetManager
-
-# Kill switch for the batch offer pass: pure perf toggle, both paths pick
-# identically.  Resolution order (the env always wins, so an operator can
-# still force the scalar scan on a run whose code sets the conf knob):
-# RUPAM_BATCH_DISPATCH env > SparkConf.batch_dispatch > on.
-def batch_dispatch_enabled(conf=None) -> bool:
-    env = os.environ.get("RUPAM_BATCH_DISPATCH")
-    if env is not None:
-        return env != "0"
-    if conf is not None and getattr(conf, "batch_dispatch", None) is not None:
-        return bool(conf.batch_dispatch)
-    return True
-
 
 class Dispatcher:
     """Matches tasks to nodes using the Task/Resource queues."""
@@ -99,14 +83,7 @@ class Dispatcher:
         self._rounds = 0
         self._empty_tally = 0
         self._busy_tally = 0
-        self._batch_rounds = 0
-        self._flushed = (0, 0, 0, 0, 0, 0, 0, 0)
-        # Per-dispatch-call memory-estimate column, indexed by the queues'
-        # interned spec-key codes (the array twin of _mem_memo; NaN = unset).
-        self._est_cache: np.ndarray | None = None
-        # Instance-level batch toggle (benchmarks/parity tests flip it to
-        # compare engines in-process); seeded from the env/conf resolution.
-        self.batch_enabled = batch_dispatch_enabled(ctx.conf)
+        self._flushed = (0, 0, 0, 0, 0, 0, 0)
         # Candidate-list cache, valid within one dispatch call (invalidated
         # at every dispatch() entry; see _dispatch_round).
         self._mets_cache: list[NodeMetrics] | None = None
@@ -128,7 +105,6 @@ class Dispatcher:
         self.obs.sample_queue_depths(self.ctx.now, self.tm.queues.depths)
         self._mem_memo.clear()
         self._loc_memo.clear()
-        self._est_cache = None
         self._mets_pos = None
         self._calls += 1
         total = 0
@@ -161,7 +137,6 @@ class Dispatcher:
             self._dirty_seen,
             self._empty_tally,
             self._busy_tally,
-            self._batch_rounds,
         )
         self.obs.metrics.inc_many((
             ("dispatch.calls", float(now[0] - base[0])),
@@ -169,7 +144,6 @@ class Dispatcher:
             ("dispatch.memo_hits", float(now[2] - base[2])),
             ("dispatch.requeue_ops", float(now[3] - base[3])),
             ("dispatch.dirty_nodes", float(now[4] - base[4])),
-            ("dispatch.batch_rounds", float(now[7] - base[7])),
         ))
         self.obs.decisions.tally_rejections(obs.QUEUE_EMPTY, now[5] - base[5])
         self.obs.decisions.tally_rejections(obs.NODE_BUSY, now[6] - base[6])
@@ -375,122 +349,10 @@ class Dispatcher:
 
         With ``app_id`` the scan is restricted to that application's entries
         (multi-tenant pool order); ``None`` scans everything (single-tenant
-        fast path, byte-identical to the pre-pool behavior).
-
-        Two implementations pick the *same* task: the batch pass evaluates
-        the whole queue against this node as numpy masks (used when the
-        decision trace is off — the scale regime), the scalar scan walks
-        entries one by one (used under tracing, where each skipped entry
-        must emit its rejection record in visit order, and as the fallback
-        for specs whose locality is not statically ANY)."""
-        if self.batch_enabled and not self.obs.decisions.enabled:
-            sel = self._schedule_task_batch(kind, ex, app_id)
-            if sel is not NotImplemented:
-                return sel
-        return self._schedule_task_scan(kind, ex, app_id)
-
-    def _schedule_task_batch(
-        self, kind: ResourceKind, ex: "Executor", app_id: str | None = None
-    ):
-        """Vectorized offer pass: one mask pipeline over the kind's columns.
-
-        Mirrors the scalar scan decision-for-decision (see the parity test
-        in tests/test_batch_dispatch.py): stale/inactive entries are masked
-        out instead of tombstoned inline (behavior-neutral — the scalar
-        path's inline kills only advance compaction timing, which preserves
-        entry order), the first locked-to-this-node candidate short-circuits
-        exactly like the scalar early return, and otherwise the best
-        candidate is the max memory estimate at equal (ANY) locality with
-        first-seen winning ties — ``np.argmax`` returns the first maximum.
-        Returns ``NotImplemented`` when any candidate's locality is not
-        statically ANY (cached partitions / input blocks present): those
-        entries need per-spec locality calls, so the scalar scan runs.
+        fast path, byte-identical to the pre-pool behavior).  The scan walks
+        live entries in FIFO order and, under tracing, emits each skipped
+        entry's rejection record in visit order.
         """
-        q = self.tm.queues
-        lst = q._compacted(kind)
-        n = len(lst)
-        if n == 0:
-            return None
-        self._batch_rounds += 1
-        cols = q._cols[kind]
-        active_lut, blocked_lut = q.ts_flags()
-        tsc = cols.ts_code[:n]
-        cand = ~cols.dead[:n] & active_lut[tsc]
-        if app_id is not None:
-            cand &= q.app_flags(app_id)[tsc]
-        cand &= ~blocked_lut[tsc]
-        if not cand.any():
-            return None
-        if not cols.any_loc[:n][cand].all():
-            return NotImplemented
-        # Memory estimates: gather from the per-dispatch key-code column,
-        # filling misses through the same memo dict the scalar paths use.
-        kcodes = cols.key_code[:n]
-        est_cache = self._est_cache
-        nkeys = len(q._key_code)
-        if est_cache is None or len(est_cache) < nkeys:
-            grown = np.full(nkeys, np.nan)
-            if est_cache is not None:
-                grown[: len(est_cache)] = est_cache
-            est_cache = self._est_cache = grown
-        est_col = est_cache[kcodes]
-        need = cand & np.isnan(est_col)
-        if need.any():
-            memo = self._mem_memo
-            mem_estimate = self.tm.memory_estimate_mb
-            for i in np.nonzero(need)[0].tolist():
-                spec = lst[i].spec
-                v = memo.get(spec.key)
-                if v is None:
-                    v = mem_estimate(spec)
-                    memo[spec.key] = v
-                est_cache[kcodes[i]] = v
-            est_col = est_cache[kcodes]
-        free_mb = ex.free_memory_mb
-        fits = est_col <= free_mb
-        lcodes = cols.locked[:n]
-        my_code = q._node_code.get(ex.node.name, -2)
-        locked_here = cand & (lcodes == my_code)
-        lock_wait = (
-            (lcodes != -1)
-            & (lcodes != my_code)
-            & ((self.ctx.now - cols.enq[:n]) < self.cfg.lock_break_wait_s)
-        )
-        kill = q._kill
-        while True:
-            # The first locked-to-this-node candidate returns unconditionally
-            # in the scalar scan (memory override when it does not fit), and
-            # nothing before it can return earlier at ANY locality.
-            if locked_here.any():
-                p = int(np.argmax(locked_here))
-                e = lst[p]
-                if not e.ts.is_active() or e.spec.index not in e.ts.pending:
-                    q.work_ops += 1
-                    kill(e)
-                    cand[p] = locked_here[p] = False
-                    continue
-                self._last_selection = (
-                    obs.LAUNCH_LOCKED if fits[p] else obs.LAUNCH_MEM_OVERRIDE,
-                    e.enqueued_at,
-                )
-                return e.ts, e.spec, Locality.ANY
-            sel = cand & fits & ~lock_wait
-            if not sel.any():
-                return None
-            p = int(np.argmax(np.where(sel, est_col, -np.inf)))
-            e = lst[p]
-            if not e.ts.is_active() or e.spec.index not in e.ts.pending:
-                q.work_ops += 1
-                kill(e)
-                cand[p] = False
-                continue
-            self._last_selection = (obs.LAUNCH_BEST_LOCALITY, e.enqueued_at)
-            return e.ts, e.spec, Locality.ANY
-
-    def _schedule_task_scan(
-        self, kind: ResourceKind, ex: "Executor", app_id: str | None = None
-    ) -> tuple["TaskSetManager", "TaskSpec", Locality] | None:
-        """Scalar reference scan (also the tracing path — emits rejections)."""
         node = ex.node.name
         free_mb = ex.free_memory_mb
         # best = (entry, locality, memory_estimate); ties on locality go to

@@ -1,20 +1,14 @@
 """Resource kinds and the per-node heartbeat payload (Table I, left side).
 
-Two representations of the same state coexist (DESIGN.md §14):
 :class:`NodeMetrics` is the per-node heartbeat view the queue/decision code
-consumes, and :class:`NodeTable` is the struct-of-arrays registry the
-vectorized paths (batched heartbeat scatter, cluster-mean utilization,
-batch offer masks) operate on.  The monitor keeps both in sync — metrics
-objects are only rebuilt for nodes whose version signature moved, and the
-same changed set is applied to the table as one batched scatter per tick.
+consumes; the monitor rebuilds one only for nodes whose version signature
+moved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class ResourceKind(Enum):
@@ -98,184 +92,3 @@ class NodeMetrics:
         if kind is ResourceKind.GPU:
             return self.gpus > 0
         return True
-
-
-def _fold_sum(col: np.ndarray) -> float:
-    """Sum by strict left fold starting from 0.0 — the exact rounding
-    sequence of a scalar ``total += x`` loop (``np.sum`` is pairwise and is
-    not bit-identical)."""
-    acc = np.empty(len(col) + 1)
-    acc[0] = 0.0
-    acc[1:] = col
-    return float(np.add.accumulate(acc)[-1])
-
-
-class NodeTable:
-    """Struct-of-arrays registry of per-node scheduling state.
-
-    One free-listed row per node; static capability columns are written at
-    registration, dynamic ones (utilizations, free memory, idle GPUs) by
-    :meth:`scatter` — one batched write per heartbeat tick covering exactly
-    the nodes whose version signatures moved.  Rows are float64/bool numpy
-    columns so cluster-wide reductions (mean utilization, fit masks) are
-    single array ops instead of per-node attribute chases.
-    """
-
-    _INITIAL_ROWS = 16
-
-    def __init__(self) -> None:
-        n = self._INITIAL_ROWS
-        # static
-        self.core_rate = np.zeros(n)
-        self.cores = np.zeros(n)
-        self.gpus = np.zeros(n)
-        self.ssd = np.zeros(n, dtype=bool)
-        self.netbandwidth = np.zeros(n)
-        self.disk_bandwidth = np.zeros(n)
-        self.memory_mb = np.zeros(n)
-        # dynamic (heartbeat scatter targets)
-        self.time = np.zeros(n)
-        self.cpuutil = np.zeros(n)
-        self.diskutil = np.zeros(n)
-        self.netutil = np.zeros(n)
-        self.gpus_idle = np.zeros(n)
-        self.freememory_mb = np.zeros(n)
-        self.row_of: dict[str, int] = {}
-        self._name_of: list[str | None] = [None] * n
-        self._free: list[int] = list(range(n - 1, -1, -1))
-        # Membership epoch: bumped on register/remove so derived row-order
-        # caches (e.g. the monitor's mean-utilization gather) know to rebuild.
-        self.epoch = 0
-        # Batched-scatter accounting, exported as nodetable.scatter_ops /
-        # nodetable.scatters through the quiesce flush.
-        self.scatter_ops = 0
-        self.scatters = 0
-
-    def __len__(self) -> int:
-        return len(self.row_of)
-
-    def _grow(self) -> None:
-        old = len(self._name_of)
-        new = old * 2
-        for col in (
-            "core_rate", "cores", "gpus", "netbandwidth", "disk_bandwidth",
-            "memory_mb", "time", "cpuutil", "diskutil", "netutil",
-            "gpus_idle", "freememory_mb",
-        ):
-            arr = np.zeros(new)
-            arr[:old] = getattr(self, col)
-            setattr(self, col, arr)
-        ssd = np.zeros(new, dtype=bool)
-        ssd[:old] = self.ssd
-        self.ssd = ssd
-        self._name_of.extend([None] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def register(
-        self,
-        name: str,
-        *,
-        core_rate: float,
-        cores: int,
-        gpus: int,
-        ssd: bool,
-        netbandwidth: float,
-        disk_bandwidth: float,
-        memory_mb: float,
-    ) -> int:
-        """Add (or re-add) a node's static row; returns its row index."""
-        row = self.row_of.get(name)
-        if row is None:
-            if not self._free:
-                self._grow()
-            row = self._free.pop()
-            self.row_of[name] = row
-            self._name_of[row] = name
-            self.epoch += 1
-        self.core_rate[row] = core_rate
-        self.cores[row] = cores
-        self.gpus[row] = gpus
-        self.ssd[row] = ssd
-        self.netbandwidth[row] = netbandwidth
-        self.disk_bandwidth[row] = disk_bandwidth
-        self.memory_mb[row] = memory_mb
-        return row
-
-    def remove(self, name: str) -> None:
-        row = self.row_of.pop(name, None)
-        if row is None:
-            return
-        self._name_of[row] = None
-        # Zero the dynamic columns: under churn this row will be free-listed
-        # to the next joining node, which must not inherit the departed
-        # occupant's last heartbeat between register() and its own first
-        # scatter.
-        self.time[row] = 0.0
-        self.cpuutil[row] = 0.0
-        self.diskutil[row] = 0.0
-        self.netutil[row] = 0.0
-        self.gpus_idle[row] = 0.0
-        self.freememory_mb[row] = 0.0
-        self._free.append(row)
-        self.epoch += 1
-
-    def scatter(
-        self,
-        rows: np.ndarray,
-        *,
-        time: np.ndarray,
-        cpuutil: np.ndarray,
-        diskutil: np.ndarray,
-        netutil: np.ndarray,
-        gpus_idle: np.ndarray,
-        freememory_mb: np.ndarray,
-    ) -> None:
-        """Apply one heartbeat batch: scatter dynamic values to ``rows``."""
-        self.time[rows] = time
-        self.cpuutil[rows] = cpuutil
-        self.diskutil[rows] = diskutil
-        self.netutil[rows] = netutil
-        self.gpus_idle[rows] = gpus_idle
-        self.freememory_mb[rows] = freememory_mb
-        self.scatter_ops += len(rows)
-        self.scatters += 1
-
-    def capability(self, rows: np.ndarray, kind: ResourceKind) -> np.ndarray:
-        """Column of :meth:`NodeMetrics.capability` values for ``rows``."""
-        if kind is ResourceKind.CPU:
-            return self.core_rate[rows]
-        if kind is ResourceKind.MEM:
-            return self.memory_mb[rows]
-        if kind is ResourceKind.DISK:
-            return self.disk_bandwidth[rows] * np.where(self.ssd[rows], 2.0, 1.0)
-        if kind is ResourceKind.NET:
-            return self.netbandwidth[rows]
-        if kind is ResourceKind.GPU:
-            return self.gpus[rows].copy()
-        raise ValueError(f"unknown kind {kind}")
-
-    def mean_utilization(self, rows: np.ndarray) -> dict[str, float]:
-        """Cluster-mean utilization per kind over ``rows``, as masked array
-        ops whose float results are bit-identical to the scalar fold over
-        the same rows in the same order (left-fold sums, same elementwise
-        expressions)."""
-        out: dict[str, float] = {}
-        n = len(rows)
-        if n == 0:
-            return out
-        mem_cap = self.memory_mb[rows]
-        free = self.freememory_mb[rows]
-        has_mem = mem_cap > 0
-        memu = np.divide(free, mem_cap, out=np.zeros(n), where=has_mem)
-        memu = np.where(has_mem, 1.0 - memu, 1.0)
-        gcount = self.gpus[rows]
-        gmask = gcount > 0
-        gpu_nodes = int(np.count_nonzero(gmask))
-        out["cpu"] = _fold_sum(self.cpuutil[rows]) / n
-        out["mem"] = _fold_sum(memu) / n
-        out["disk"] = _fold_sum(self.diskutil[rows]) / n
-        out["net"] = _fold_sum(self.netutil[rows]) / n
-        if gpu_nodes:
-            gutil = 1.0 - self.gpus_idle[rows][gmask] / gcount[gmask]
-            out["gpu"] = _fold_sum(gutil) / gpu_nodes
-        return out

@@ -24,8 +24,6 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-import numpy as np
-
 from repro.core.nodeinfo import ALL_KINDS, NodeMetrics, ResourceKind
 from repro.simulate.engine import COMPACT_MIN_DEAD
 
@@ -259,14 +257,10 @@ class QueuedTask:
     """One pending-task entry in one per-kind queue.
 
     Mutable so launches can tombstone it in O(1) (``dead``) and lock changes
-    can retarget it (``locked_node``) without rebuilding any list.  ``pos``
-    is the entry's index in its kind's backing list *and* in the parallel
-    :class:`_EntryCols` columns (kept in lockstep through compaction).
+    can retarget it (``locked_node``) without rebuilding any list.
     """
 
-    __slots__ = (
-        "ts", "spec", "enqueued_at", "kind", "seq", "dead", "locked_node", "pos"
-    )
+    __slots__ = ("ts", "spec", "enqueued_at", "kind", "seq", "dead", "locked_node")
 
     def __init__(
         self,
@@ -284,55 +278,6 @@ class QueuedTask:
         self.seq = seq
         self.dead = False
         self.locked_node = locked_node
-        self.pos = -1
-
-
-class _EntryCols:
-    """Struct-of-arrays mirror of one kind's entry list (DESIGN.md §14).
-
-    Column ``i`` describes ``_lists[kind][i]``; the batch offer pass in the
-    dispatcher reads these columns to build its fit/lock/locality masks in a
-    handful of array ops instead of one Python iteration per entry.  Codes
-    are interned small ints (see :class:`TaskQueues`): ``ts_code`` indexes
-    the taskset-flag lookup tables, ``key_code`` the per-dispatch memory
-    estimate cache, ``locked`` is a node code (``-1`` = unlocked).
-    ``any_loc`` is True when the spec has no cached partition and no input
-    blocks — its locality is statically ANY, so the batch pass never needs
-    a per-entry locality call for it.
-    """
-
-    __slots__ = ("cap", "ts_code", "key_code", "enq", "locked", "dead", "any_loc")
-
-    def __init__(self, cap: int = 64) -> None:
-        self.cap = cap
-        self.ts_code = np.zeros(cap, dtype=np.int32)
-        self.key_code = np.zeros(cap, dtype=np.int32)
-        self.enq = np.zeros(cap)
-        self.locked = np.full(cap, -1, dtype=np.int32)
-        self.dead = np.zeros(cap, dtype=bool)
-        self.any_loc = np.zeros(cap, dtype=bool)
-
-    def ensure(self, n: int) -> None:
-        if n <= self.cap:
-            return
-        cap = self.cap
-        while cap < n:
-            cap *= 2
-        for name in self.__slots__[1:]:
-            old = getattr(self, name)
-            arr = np.full(cap, -1, dtype=np.int32) if name == "locked" else \
-                np.zeros(cap, dtype=old.dtype)
-            arr[: self.cap] = old
-            setattr(self, name, arr)
-        self.cap = cap
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Gather surviving positions to the column prefix (list compaction)."""
-        k = len(keep)
-        for name in self.__slots__[1:]:
-            col = getattr(self, name)
-            col[:k] = col[keep]
-        self.dead[:k] = False
 
 
 class TaskQueues:
@@ -356,55 +301,6 @@ class TaskQueues:
         # Entry visits spent on maintenance (compaction + stale folding) —
         # what the tombstone design bounds at O(live + dead), not O(calls·D).
         self.work_ops = 0
-        # Struct-of-arrays mirror (DESIGN.md §14): parallel columns per kind
-        # plus the interning tables that map strings/objects to small ints.
-        self._cols: dict[ResourceKind, _EntryCols] = {
-            k: _EntryCols() for k in ALL_KINDS
-        }
-        self._key_code: dict[str, int] = {}
-        # id(ts) → code; codes index _ts_refs and are recycled when the
-        # taskset's entries are all tombstoned (invalidate_taskset), so a
-        # live column never carries a dangling code.
-        self._ts_code: dict[int, int] = {}
-        self._ts_refs: list["TaskSetManager | None"] = []
-        self._ts_free: list[int] = []
-        self._node_code: dict[str, int] = {}
-
-    # -- interning -----------------------------------------------------------
-
-    def node_code(self, name: str | None) -> int:
-        """Small-int code for a node name (``-1`` for None/unlocked)."""
-        if name is None:
-            return -1
-        code = self._node_code.get(name)
-        if code is None:
-            code = self._node_code[name] = len(self._node_code)
-        return code
-
-    def ts_flags(self) -> tuple[np.ndarray, np.ndarray]:
-        """(active, blocked) lookup tables indexed by taskset code.
-
-        Rebuilt per batch evaluation — taskset count is tiny next to entry
-        count, and both flags can flip between offer rounds.
-        """
-        refs = self._ts_refs
-        n = len(refs)
-        active = np.zeros(n, dtype=bool)
-        blocked = np.zeros(n, dtype=bool)
-        for i, ts in enumerate(refs):
-            if ts is not None:
-                active[i] = ts.is_active()
-                blocked[i] = ts.blocked
-        return active, blocked
-
-    def app_flags(self, app_id: str) -> np.ndarray:
-        """Per-taskset-code mask: does the taskset belong to ``app_id``?"""
-        refs = self._ts_refs
-        mask = np.zeros(len(refs), dtype=bool)
-        for i, ts in enumerate(refs):
-            if ts is not None and getattr(ts, "app_id", None) == app_id:
-                mask[i] = True
-        return mask
 
     # -- write path ----------------------------------------------------------
 
@@ -418,31 +314,8 @@ class TaskQueues:
     ) -> None:
         self._seq += 1
         e = QueuedTask(ts, spec, now, kind, self._seq, locked_node)
-        lst = self._lists[kind]
-        pos = e.pos = len(lst)
-        lst.append(e)
+        self._lists[kind].append(e)
         self._live[kind] += 1
-        # Mirror the entry into the kind's columns.
-        kcode = self._key_code.get(spec.key)
-        if kcode is None:
-            kcode = self._key_code[spec.key] = len(self._key_code)
-        tscode = self._ts_code.get(id(ts))
-        if tscode is None:
-            if self._ts_free:
-                tscode = self._ts_free.pop()
-                self._ts_refs[tscode] = ts
-            else:
-                tscode = len(self._ts_refs)
-                self._ts_refs.append(ts)
-            self._ts_code[id(ts)] = tscode
-        cols = self._cols[kind]
-        cols.ensure(pos + 1)
-        cols.ts_code[pos] = tscode
-        cols.key_code[pos] = kcode
-        cols.enq[pos] = now
-        cols.locked[pos] = self.node_code(locked_node)
-        cols.dead[pos] = False
-        cols.any_loc[pos] = spec.cache_key is None and not spec.input_blocks
         self._index.setdefault((id(ts), spec.index), []).append(e)
         bucket = self._ts_entries.get(id(ts))
         if bucket is None:
@@ -478,7 +351,6 @@ class TaskQueues:
         if e.dead:
             return
         e.dead = True
-        self._cols[e.kind].dead[e.pos] = True
         self._dead[e.kind] += 1
         self._live[e.kind] -= 1
         tkey = (id(e.ts), e.spec.index)
@@ -513,10 +385,6 @@ class TaskQueues:
             count += 1
         return count
 
-    def remove_task(self, ts: "TaskSetManager", spec: "TaskSpec") -> int:
-        """Drop every queued entry for one task (before re-classification)."""
-        return self.invalidate_task(ts, spec)
-
     def invalidate_taskset(self, ts: "TaskSetManager") -> int:
         """Tombstone every entry of a finished/aborted taskset."""
         bucket = self._ts_entries.pop(id(ts), None)
@@ -527,13 +395,6 @@ class TaskQueues:
             if not e.dead:
                 self._kill(e)
                 count += 1
-        # Every entry carrying this taskset's code is now tombstoned, so the
-        # code can be recycled (dangling codes only remain on dead rows,
-        # which every batch mask excludes).
-        code = self._ts_code.pop(id(ts), None)
-        if code is not None:
-            self._ts_refs[code] = None
-            self._ts_free.append(code)
         return count
 
     def invalidate_app(self, app_id: str) -> int:
@@ -554,7 +415,6 @@ class TaskQueues:
         Called when the task manager's lock cache changes (a characterization
         record update flipped ``locked_node_of`` for this key).
         """
-        code = self.node_code(node)
         for e in list(self._by_key.get(key, ())):
             if e.locked_node == node:
                 continue
@@ -565,7 +425,6 @@ class TaskQueues:
                     if not old:
                         del self._locked[e.locked_node]
             e.locked_node = node
-            self._cols[e.kind].locked[e.pos] = code
             if node is not None:
                 self._locked.setdefault(node, []).append(e)
 
@@ -593,16 +452,12 @@ class TaskQueues:
         dead = self._dead[kind]
         if dead >= COMPACT_MIN_DEAD and dead * 2 >= len(lst):
             live = []
-            keep = []
-            for i, e in enumerate(lst):
+            for e in lst:
                 self.work_ops += 1
                 if not e.dead:
-                    e.pos = len(live)
                     live.append(e)
-                    keep.append(i)
             self._lists[kind] = lst = live
             self._dead[kind] = 0
-            self._cols[kind].compact(np.array(keep, dtype=np.intp))
         return lst
 
     def entries(self, kind: ResourceKind) -> Iterator[QueuedTask]:
@@ -685,23 +540,12 @@ class TaskQueues:
         self._fold_inactive()
         return len(self._index)
 
-    def prune(self) -> None:
-        for kind in ALL_KINDS:
-            for _ in self.entries(kind):
-                pass
-
     def clear(self) -> None:
         for kind in ALL_KINDS:
             self._lists[kind].clear()
             self._dead[kind] = 0
             self._live[kind] = 0
-            self._cols[kind] = _EntryCols()
         self._index.clear()
         self._ts_entries.clear()
         self._by_key.clear()
         self._locked.clear()
-        self._key_code.clear()
-        self._ts_code.clear()
-        self._ts_refs.clear()
-        self._ts_free.clear()
-        self._node_code.clear()

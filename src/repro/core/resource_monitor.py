@@ -12,18 +12,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.core.nodeinfo import NodeMetrics, NodeTable
+from repro.core.nodeinfo import NodeMetrics
 from repro.spark.scheduler import SchedulerContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.executor import Executor
-
-# Below this many nodes the scalar fold beats the array reduction (same
-# discipline as resources.VEC_MIN_FLOWS; both produce bit-identical floats,
-# so the crossover is purely a speed knob).
-VEC_MIN_NODES = 24
 
 
 class ResourceMonitor:
@@ -53,13 +46,6 @@ class ResourceMonitor:
         # Nodes whose report changed since the last consume_dirty() call —
         # this feeds the dispatcher's lazy resource-queue re-keying.
         self.dirty_nodes: set[str] = set()
-        # Struct-of-arrays mirror of executor_data (DESIGN.md §14): the
-        # changed nodes of each collection round land in one batched scatter,
-        # and cluster-wide reductions read columns instead of dataclasses.
-        self.table = NodeTable()
-        self._mean_rows: np.ndarray | None = None
-        self._mean_epoch = -1
-        self._flushed = (0, 0)
 
     def start(self) -> None:
         """Begin (or, after :meth:`stop`, resume) the heartbeat loop."""
@@ -96,20 +82,8 @@ class ResourceMonitor:
         a subset of the dirty set) — the dispatcher uses it to patch its
         cached candidate list instead of rebuilding it every round.
         """
-        table = self.table
         now = self.ctx.now
-        # Single-pass column accumulation (DESIGN.md §14): the heartbeat
-        # batch fills the scatter columns while each node is visited — no
-        # per-node snapshot dicts and no second pass re-reading NodeMetrics
-        # attributes.  The whole tick still lands as ONE NodeTable.scatter
-        # over exactly the dirty-node set.
         names: list[str] = []
-        rows: list[int] = []
-        cpu_col: list[float] = []
-        disk_col: list[float] = []
-        net_col: list[float] = []
-        gpu_idle_col: list[float] = []
-        freemem_col: list[float] = []
         for ex in self._executors():
             node = ex.node
             name = node.name
@@ -123,12 +97,8 @@ class ResourceMonitor:
                 continue
             self._signatures[name] = sig
             spec = node.spec
-            cpuutil = node.cpu.utilization()
-            netutil = node.net.utilization()
-            diskutil = node.disk.utilization()
-            gpus_idle = node.gpus_idle()
             free_mb = ex.memory.free_mb
-            self.executor_data[name] = m = NodeMetrics(
+            self.executor_data[name] = NodeMetrics(
                 name=name,
                 time=now,
                 core_rate=spec.cpu.core_rate,
@@ -138,32 +108,14 @@ class ResourceMonitor:
                 netbandwidth=spec.net_mbps,
                 disk_bandwidth=spec.disk.read_mbps,
                 memory_mb=spec.memory_mb,
-                cpuutil=cpuutil,
-                diskutil=diskutil,
-                netutil=netutil,
-                gpus_idle=gpus_idle,
+                cpuutil=node.cpu.utilization(),
+                diskutil=node.disk.utilization(),
+                netutil=node.net.utilization(),
+                gpus_idle=node.gpus_idle(),
                 freememory_mb=free_mb,
             )
             self.dirty_nodes.add(name)
-            row = table.row_of.get(name)
-            if row is None:
-                row = table.register(
-                    name,
-                    core_rate=m.core_rate,
-                    cores=m.cores,
-                    gpus=m.gpus,
-                    ssd=m.ssd,
-                    netbandwidth=m.netbandwidth,
-                    disk_bandwidth=m.disk_bandwidth,
-                    memory_mb=m.memory_mb,
-                )
             names.append(name)
-            rows.append(row)
-            cpu_col.append(cpuutil)
-            disk_col.append(diskutil)
-            net_col.append(netutil)
-            gpu_idle_col.append(float(gpus_idle))
-            freemem_col.append(free_mb)
             usable = ex.memory.usable_mb
             # Flag only genuine OOM danger (overcommitted heap), not a heap
             # that is merely well-used by tasks that fit.
@@ -175,17 +127,6 @@ class ResourceMonitor:
                 self.low_memory_nodes.add(name)
             else:
                 self.low_memory_nodes.discard(name)
-        if rows:
-            # One scatter per tick covering exactly the changed nodes.
-            table.scatter(
-                np.array(rows, dtype=np.intp),
-                time=np.full(len(rows), now),
-                cpuutil=np.array(cpu_col),
-                diskutil=np.array(disk_col),
-                netutil=np.array(net_col),
-                gpus_idle=np.array(gpu_idle_col),
-                freememory_mb=np.array(freemem_col),
-            )
         self.beats += 1
         return names
 
@@ -209,9 +150,8 @@ class ResourceMonitor:
         """Scalar reference report for one executor.
 
         Kept as the readable specification of what a heartbeat carries; the
-        hot path (:meth:`collect_now`) builds the same values in a single
-        column-accumulating pass, and the scalar-parity test holds the two
-        bit-identical.
+        hot path (:meth:`collect_now`) builds the same values without the
+        snapshot dict, and a parity test holds the two bit-identical.
         """
         node = ex.node
         snap = node.utilization_snapshot()
@@ -248,54 +188,35 @@ class ResourceMonitor:
     def _mean_utilization(self) -> dict[str, float]:
         """Cluster-mean utilization per resource kind (telemetry sample).
 
-        Delegates to the :class:`NodeTable` masked-array reduction — values
-        and key order match the scalar fold over ``executor_data`` exactly
-        (left-fold sums in report insertion order, same elementwise
-        expressions, GPU averaged only over GPU-bearing nodes).  Small
-        clusters keep the scalar fold: numpy's per-op overhead loses below
-        ``VEC_MIN_NODES``, and this runs once per obs-enabled heartbeat.
+        A left fold over ``executor_data`` in report insertion order; GPU is
+        averaged only over GPU-bearing nodes.  Runs once per obs-enabled
+        heartbeat.
         """
+        out: dict[str, float] = {}
         data = self.executor_data
-        if len(data) < VEC_MIN_NODES:
-            out: dict[str, float] = {}
-            if not data:
-                return out
-            cpu = mem = disk = net = gpu = 0.0
-            gpu_nodes = 0
-            for m in data.values():
-                cpu += m.cpuutil
-                mem += (
-                    1.0
-                    if m.memory_mb <= 0
-                    else 1.0 - m.freememory_mb / m.memory_mb
-                )
-                disk += m.diskutil
-                net += m.netutil
-                if m.gpus > 0:
-                    gpu += 1.0 - m.gpus_idle / m.gpus
-                    gpu_nodes += 1
-            n = len(data)
-            out["cpu"] = cpu / n
-            out["mem"] = mem / n
-            out["disk"] = disk / n
-            out["net"] = net / n
-            if gpu_nodes:
-                out["gpu"] = gpu / gpu_nodes
-            out["low_memory_nodes"] = float(len(self.low_memory_nodes))
+        if not data:
             return out
-        table = self.table
-        if self._mean_epoch != table.epoch:
-            # Rebuild the row gather (executor_data insertion order) only
-            # when table membership changed.
-            self._mean_rows = np.array(
-                [table.row_of[name] for name in self.executor_data],
-                dtype=np.intp,
+        cpu = mem = disk = net = gpu = 0.0
+        gpu_nodes = 0
+        for m in data.values():
+            cpu += m.cpuutil
+            mem += (
+                1.0
+                if m.memory_mb <= 0
+                else 1.0 - m.freememory_mb / m.memory_mb
             )
-            self._mean_epoch = table.epoch
-        rows = self._mean_rows
-        if rows is None or len(rows) == 0:
-            return {}
-        out = table.mean_utilization(rows)
+            disk += m.diskutil
+            net += m.netutil
+            if m.gpus > 0:
+                gpu += 1.0 - m.gpus_idle / m.gpus
+                gpu_nodes += 1
+        n = len(data)
+        out["cpu"] = cpu / n
+        out["mem"] = mem / n
+        out["disk"] = disk / n
+        out["net"] = net / n
+        if gpu_nodes:
+            out["gpu"] = gpu / gpu_nodes
         out["low_memory_nodes"] = float(len(self.low_memory_nodes))
         return out
 
@@ -306,21 +227,4 @@ class ResourceMonitor:
         self.executor_data.pop(node_name, None)
         self.low_memory_nodes.discard(node_name)
         self._signatures.pop(node_name, None)
-        self.table.remove(node_name)
         self.dirty_nodes.add(node_name)
-
-    def flush_metrics(self) -> None:
-        """Fold batched-scatter accounting into the metrics registry.
-
-        Delta-tracked like the dispatcher's flush, called at the same
-        quiesce points, so idle/wake cycles never double count.
-        """
-        if not self.ctx.obs.enabled:
-            return
-        base = self._flushed
-        now = (self.table.scatter_ops, self.table.scatters)
-        self.ctx.obs.metrics.inc_many((
-            ("nodetable.scatter_ops", float(now[0] - base[0])),
-            ("nodetable.scatters", float(now[1] - base[1])),
-        ))
-        self._flushed = now

@@ -86,7 +86,6 @@ class RupamScheduler(TaskScheduler):
         if self.dispatcher is not None:
             self.dispatcher.flush_metrics()
         if self.rm is not None:
-            self.rm.flush_metrics()
             self.rm.stop()
 
     def resume(self) -> None:

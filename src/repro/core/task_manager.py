@@ -227,7 +227,7 @@ class TaskManager:
                 rec = self.db.lookup(spec.key)
                 if rec is not None and rec.runs > 0:
                     continue  # has its own history
-                self.queues.remove_task(ts, spec)
+                self.queues.invalidate_task(ts, spec)
                 self.queues.enqueue(
                     majority,
                     ts,

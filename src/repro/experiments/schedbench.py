@@ -8,14 +8,10 @@ measured microsecond is queue maintenance, ranking, and task selection:
   Only the benchmark suite passes it in (``run_grid(legacy=...)``); the
   package itself never depends on the benchmark suite, so ``repro bench
   scale`` omits it.
-* ``incremental`` — the PR-2 engine: incremental heaps + tombstoned task
-  queues, scalar ``schedule_task`` scan (``batch_enabled = False``).
-* ``vectorized`` — the same engine with the batch offer pass on: the whole
-  ready queue is evaluated against a node as numpy masks (DESIGN.md §14).
+* ``incremental`` — the production engine: incremental heaps + tombstoned
+  task queues, scanned by ``Dispatcher.schedule_task``.
 
-The grid tops out at 10k nodes × 100k tasks, a tier only the vectorized
-pass completes in CI time — the scalar scan is measured up to 1000 × 10k,
-where the CI gate requires the batch pass to be ≥3× faster.
+The grid tops out at 1000 nodes × 10k tasks.
 """
 
 from __future__ import annotations
@@ -50,15 +46,10 @@ _PROFILES = [
     dict(cores=12, ghz=2.4, mem_gb=128.0, net=10000.0, ssd=True, gpus=2),
 ]
 
-# (nodes, tasks) tiers.  Every engine runs the base grid; the ``vec`` tiers
-# are vectorized-only (the scalar engines would take minutes there).
+# (nodes, tasks) tiers; every engine runs the whole grid.
 GRIDS = {
     "smoke": [(20, 200), (60, 600), (1000, 10_000)],
     "paper": [(50, 500), (200, 2000), (1000, 10_000)],
-}
-VEC_GRIDS = {
-    "smoke": [(10_000, 100_000)],
-    "paper": [(10_000, 100_000)],
 }
 
 
@@ -100,7 +91,7 @@ class World:
     """One synthetic scheduling world: N nodes, T queued tasks, no runtime."""
 
     def __init__(self, n_nodes: int, n_tasks: int, engine: str, legacy=None):
-        assert engine in ("legacy", "incremental", "vectorized")
+        assert engine in ("legacy", "incremental")
         if engine == "legacy" and legacy is None:
             raise ValueError("legacy engine requires the frozen classes")
         self.engine = engine
@@ -145,8 +136,6 @@ class World:
             active_tasksets=lambda: [],
             load_hint=None,
         )
-        if engine != "legacy":
-            self.dispatcher.batch_enabled = engine == "vectorized"
         # Identical workload for every engine: tasks spread evenly over the
         # five resource queues, enqueued straight into the task queues (the
         # TaskManager's classification policy is not under test here).
@@ -208,8 +197,6 @@ def measure(
                     "requeue_ops": world.dispatcher.resource_queues.requeue_ops,
                     "task_queue_work_ops": world.tm.queues.work_ops,
                 }
-                if engine == "vectorized":
-                    counters["batch_rounds"] = world.dispatcher._batch_rounds
     return best, launched, counters
 
 
@@ -224,17 +211,12 @@ def run_grid(scale: str, repeats: int = 3, legacy=None) -> list[dict]:
     for n_nodes, n_tasks in GRIDS[scale]:
         reps = _tier_repeats(n_tasks, repeats)
         inc_s, inc_n, counters = measure("incremental", n_nodes, n_tasks, reps)
-        vec_s, vec_n, vec_counters = measure("vectorized", n_nodes, n_tasks, reps)
-        assert vec_n == inc_n, "engines must launch the same number of tasks"
         row = {
             "nodes": n_nodes,
             "tasks": n_tasks,
             "launches": inc_n,
             "incremental_s": round(inc_s, 6),
-            "vectorized_s": round(vec_s, 6),
-            "vec_speedup": round(inc_s / vec_s, 2),
             **counters,
-            "batch_rounds": vec_counters.get("batch_rounds", 0),
         }
         if legacy is not None:
             legacy_s, legacy_n, _ = measure("legacy", n_nodes, n_tasks, reps, legacy)
@@ -245,38 +227,13 @@ def run_grid(scale: str, repeats: int = 3, legacy=None) -> list[dict]:
     return rows
 
 
-def run_vec_tiers(scale: str) -> list[dict]:
-    """Vectorized-only rows for the tiers the scalar engines cannot reach."""
-    rows = []
-    for n_nodes, n_tasks in VEC_GRIDS[scale]:
-        vec_s, vec_n, counters = measure("vectorized", n_nodes, n_tasks, 1)
-        rows.append(
-            {
-                "nodes": n_nodes,
-                "tasks": n_tasks,
-                "launches": vec_n,
-                "vectorized_s": round(vec_s, 6),
-                "batch_rounds": counters.get("batch_rounds", 0),
-                "vectorized_only": True,
-            }
-        )
-    return rows
-
-
 def format_table(rows: list[dict]) -> str:
-    lines = [
-        "nodes  tasks   launches  legacy_s  incremental_s  vectorized_s  "
-        "leg/inc  inc/vec"
-    ]
+    lines = ["nodes  tasks   launches  legacy_s  incremental_s  leg/inc"]
     for r in rows:
         legacy_s = f"{r['legacy_s']:>8.4f}" if "legacy_s" in r else "       -"
-        inc_s = (
-            f"{r['incremental_s']:>13.4f}" if "incremental_s" in r else " " * 12 + "-"
-        )
         speed = f"{r['speedup']:>6.2f}x" if "speedup" in r else "      -"
-        vspeed = f"{r['vec_speedup']:>6.2f}x" if "vec_speedup" in r else "      -"
         lines.append(
             f"{r['nodes']:>5}  {r['tasks']:>6}  {r['launches']:>8}  "
-            f"{legacy_s}  {inc_s}  {r['vectorized_s']:>12.4f}  {speed}  {vspeed}"
+            f"{legacy_s}  {r['incremental_s']:>13.4f}  {speed}"
         )
     return "\n".join(lines)

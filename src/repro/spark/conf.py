@@ -74,11 +74,6 @@ class SparkConf:
     autoscale_down_idle_s: float = 30.0
     autoscale_min_nodes: int = 0
     autoscale_max_nodes: int = 4
-    # Engine perf toggle, promoted from the RUPAM_BATCH_DISPATCH env switch
-    # (the env still wins as an override; see
-    # dispatcher.batch_dispatch_enabled).  ``None`` means "no opinion": env,
-    # then the built-in default, decides.
-    batch_dispatch: bool | None = None
 
     def with_overrides(self, **kwargs) -> "SparkConf":
         """Functional update."""
@@ -124,7 +119,3 @@ class SparkConf:
             raise ValueError(
                 "autoscale_max_nodes must be >= autoscale_min_nodes"
             )
-        if self.batch_dispatch is not None and not isinstance(
-            self.batch_dispatch, bool
-        ):
-            raise ValueError("batch_dispatch must be True, False, or None")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
+from repro.cluster.presets import multirack_cluster
 from repro.experiments.runner import RunSpec, run_once
 from tests.conftest import simple_app, tiny_cluster
 
@@ -127,3 +128,42 @@ class TestParity:
 
         assert via_session.runtime_s == via_spec.runtime_s
         assert _signature(via_session) == _signature(via_spec)
+
+
+def _five_racks(sim):
+    return multirack_cluster(sim, racks=5)
+
+
+class TestObsParity:
+    """Telemetry observes a run; it never changes one."""
+
+    @pytest.mark.parametrize("scheduler", ["spark", "rupam"])
+    @pytest.mark.parametrize(
+        "workload, overrides",
+        [
+            ("terasort", dict(size_gb=0.25, partitions=25, reducers=25)),
+            ("lr", dict(size_gb=1.0, iterations=2)),
+        ],
+        ids=["terasort", "lr"],
+    )
+    def test_observe_off_matches_observe_on(self, scheduler, workload, overrides):
+        runs = []
+        for observe in (True, False):
+            s = Session(
+                cluster=_five_racks, scheduler=scheduler, seed=5, observe=observe
+            )
+            assert len(s.cluster.nodes) == 25
+            s.submit(workload, **overrides)
+            results = s.run_until_idle()
+            runs.append((
+                s.sim.now,
+                s.sim.events_processed,
+                [r.finished_at for r in results],
+                [r.task_metrics for r in results],
+            ))
+        on, off = runs
+        assert on[0] == off[0]
+        assert on[1] == off[1]
+        assert on[2] == off[2]
+        assert on[3] == off[3]
+        assert on[3] and on[3][0], "the run launched no task attempts"

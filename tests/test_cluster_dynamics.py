@@ -22,7 +22,6 @@ from repro.cluster.dynamics import (
     RackFailure,
     SpotPreemption,
 )
-from repro.core.nodeinfo import NodeTable
 from repro.simulate.randomness import DYNAMICS_STREAM, RandomSource
 from repro.spark.conf import SparkConf
 from tests.conftest import simple_app, small_node, tiny_cluster
@@ -372,35 +371,6 @@ class TestTimelineValidation:
             s.inject(ExecutorFailure(node="n1"), at=0.5)
         with pytest.raises(TypeError):
             s.inject(object())
-
-
-class TestNodeTableChurn:
-    def test_freed_row_is_scrubbed_before_reuse(self):
-        """A joining node reusing a departed node's row must not inherit its
-        last heartbeat."""
-        table = NodeTable()
-        row = table.register(
-            "old", core_rate=3.0, cores=4, gpus=0, ssd=False,
-            netbandwidth=100.0, disk_bandwidth=80.0, memory_mb=8192.0,
-        )
-        import numpy as np
-
-        table.scatter(
-            np.array([row]), time=np.array([9.0]), cpuutil=np.array([0.8]),
-            diskutil=np.array([0.5]), netutil=np.array([0.4]),
-            gpus_idle=np.array([0.0]), freememory_mb=np.array([123.0]),
-        )
-        epoch = table.epoch
-        table.remove("old")
-        new_row = table.register(
-            "new", core_rate=2.0, cores=2, gpus=0, ssd=False,
-            netbandwidth=50.0, disk_bandwidth=40.0, memory_mb=4096.0,
-        )
-        assert new_row == row  # free-listed row reused
-        assert table.epoch == epoch + 2
-        assert table.cpuutil[new_row] == 0.0
-        assert table.freememory_mb[new_row] == 0.0
-        assert table.time[new_row] == 0.0
 
 
 class TestLockInvalidation:

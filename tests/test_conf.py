@@ -46,36 +46,18 @@ class TestSparkConf:
             {"autoscale_down_idle_s": -1.0},
             {"autoscale_min_nodes": -1},
             {"autoscale_min_nodes": 5, "autoscale_max_nodes": 2},
-            # Engine-tuning knob.
-            {"batch_dispatch": "yes"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SparkConf(**kwargs)
 
-    def test_engine_knob_default(self):
-        # None means "engine default / env override only".
-        assert SparkConf().batch_dispatch is None
-
-    @pytest.mark.parametrize("field", ["sim_shards", "shard_window_s", "vec_min_flows"])
+    @pytest.mark.parametrize(
+        "field", ["sim_shards", "shard_window_s", "vec_min_flows", "batch_dispatch"]
+    )
     def test_removed_fields_rejected(self, field):
         with pytest.raises(TypeError):
             SparkConf(**{field: 2})
-
-    def test_engine_knobs_resolve_with_env_override(self, monkeypatch):
-        from repro.core.dispatcher import batch_dispatch_enabled
-
-        monkeypatch.delenv("RUPAM_BATCH_DISPATCH", raising=False)
-        # Conf value wins when no env var is set; default otherwise.
-        conf = SparkConf(batch_dispatch=False)
-        assert batch_dispatch_enabled(conf) is False
-        assert batch_dispatch_enabled(None) is True
-        # The env switch stays authoritative over the conf knob.
-        monkeypatch.setenv("RUPAM_BATCH_DISPATCH", "1")
-        assert batch_dispatch_enabled(conf) is True
-        monkeypatch.setenv("RUPAM_BATCH_DISPATCH", "0")
-        assert batch_dispatch_enabled(SparkConf(batch_dispatch=True)) is False
 
     def test_dynamics_defaults(self):
         conf = SparkConf()

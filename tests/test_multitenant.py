@@ -349,8 +349,8 @@ class TestReclamation:
         assert not {d.app for d in obs.decisions.decisions} & reaped
         assert not [k for k in obs.metrics.counters if k.startswith("app.")]
 
-        # NodeTable: rows track nodes, never apps.
-        assert len(scheduler.rm.table.row_of) == len(s.cluster.nodes)
+        # Resource monitor: heartbeat reports track nodes, never apps.
+        assert set(scheduler.rm.executor_data) == {n.name for n in s.cluster.nodes}
 
 
 class TestDecisionTraces:

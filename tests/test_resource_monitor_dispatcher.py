@@ -72,8 +72,8 @@ class TestResourceMonitor:
         assert rm.metrics_for("n1") is None
 
     def test_collect_now_matches_scalar_reference(self):
-        """The single-pass heartbeat batch is bit-identical to the scalar
-        reference collector."""
+        """The heartbeat collection is bit-identical to the scalar reference
+        collector."""
         s = Session(cluster="multirack", scheduler="rupam", seed=3)
         s.submit("lr", size_gb=2.0)
         s.sim.run(until=20.0)  # mid-flight: real utilization everywhere
@@ -85,10 +85,6 @@ class TestResourceMonitor:
         for ex in live:
             name = ex.node.name
             assert rm.executor_data[name] == rm._collect(ex), name
-            row = rm.table.row_of[name]
-            m = rm.executor_data[name]
-            assert rm.table.cpuutil[row] == m.cpuutil
-            assert rm.table.freememory_mb[row] == m.freememory_mb
 
 
 class TestDispatcherRules:

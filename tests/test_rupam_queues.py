@@ -148,7 +148,7 @@ class TestTaskQueues:
         q = TaskQueues()
         for spec in ts.pending_specs():
             q.enqueue_all_kinds(ts, spec, now=0.0)
-        removed = q.remove_task(ts, ts.states[0].spec)
+        removed = q.invalidate_task(ts, ts.states[0].spec)
         assert removed == len(ALL_KINDS)
         assert q.total_pending() == 1
 

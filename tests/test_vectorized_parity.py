@@ -1,5 +1,5 @@
-"""Bit-for-bit parity between the vectorized hot paths and their scalar
-references (DESIGN.md §14), plus the struct-of-arrays row plumbing.
+"""Bit-for-bit parity between the vectorized waterfill and its scalar
+reference (DESIGN.md §14).
 
 The simulator's golden traces only stay byte-identical if the array code
 replays the scalar float sequences exactly, so these tests compare with
@@ -14,7 +14,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.nodeinfo import NodeTable, ResourceKind
 from repro.simulate.resources import (
     waterfill,
     waterfill_into,
@@ -115,140 +114,3 @@ class TestWaterfillParity:
         # Ties in the sort key must resolve in input order on both paths.
         caps = [2.0, 2.0, None, 2.0, None, 2.0]
         assert _vec_waterfill(7.0, caps) == waterfill(7.0, caps)
-
-
-def _register(table: NodeTable, name: str, i: int) -> int:
-    return table.register(
-        name,
-        core_rate=2.0 + 0.1 * i,
-        cores=8,
-        gpus=i % 3,
-        ssd=bool(i % 2),
-        netbandwidth=1000.0 * (1 + i % 4),
-        disk_bandwidth=120.0 + i,
-        memory_mb=1024.0 * (8 + i),
-    )
-
-
-class TestNodeTableChurn:
-    def test_free_list_reuse(self):
-        table = NodeTable()
-        rows = {f"n{i}": _register(table, f"n{i}", i) for i in range(40)}
-        assert len(table) == 40
-        epoch = table.epoch
-        removed = [f"n{i}" for i in range(0, 40, 2)]
-        for name in removed:
-            table.remove(name)
-        assert len(table) == 20
-        assert table.epoch == epoch + len(removed)
-        freed = {rows[name] for name in removed}
-        # New registrations must recycle the freed rows (LIFO), not grow.
-        cols = len(table._name_of)
-        for i, name in enumerate(f"m{j}" for j in range(len(removed))):
-            row = _register(table, name, i)
-            assert row in freed
-        assert len(table._name_of) == cols, "churn must not grow the columns"
-        assert len(table) == 40
-
-    def test_reregister_is_in_place(self):
-        table = NodeTable()
-        row = _register(table, "a", 1)
-        epoch = table.epoch
-        assert _register(table, "a", 5) == row, "same name, same row"
-        assert table.epoch == epoch, "re-register must not invalidate caches"
-        assert table.core_rate[row] == 2.5
-
-    def test_remove_unknown_is_noop(self):
-        table = NodeTable()
-        epoch = table.epoch
-        table.remove("ghost")
-        assert table.epoch == epoch
-
-    def test_growth_preserves_rows(self):
-        table = NodeTable()
-        names = [f"n{i}" for i in range(3 * NodeTable._INITIAL_ROWS)]
-        rows = {name: _register(table, name, i) for i, name in enumerate(names)}
-        for name, row in rows.items():
-            assert table.row_of[name] == row
-            assert table.memory_mb[row] == 1024.0 * (8 + names.index(name))
-
-    def test_mean_utilization_matches_scalar_fold(self):
-        table = NodeTable()
-        rng = random.Random(42)
-        names = [f"n{i}" for i in range(17)]
-        rows = np.array(
-            [_register(table, name, i) for i, name in enumerate(names)],
-            dtype=np.intp,
-        )
-        dyn = {
-            "time": [float(i) for i in range(17)],
-            "cpuutil": [rng.random() for _ in names],
-            "diskutil": [rng.random() for _ in names],
-            "netutil": [rng.random() for _ in names],
-            "gpus_idle": [float(rng.randint(0, 2)) for _ in names],
-            "freememory_mb": [rng.uniform(0, 8192) for _ in names],
-        }
-        table.scatter(rows, **{k: np.array(v) for k, v in dyn.items()})
-        got = table.mean_utilization(rows)
-        # Scalar reference: the pre-rewrite fold over per-node reports.
-        n = len(names)
-        ref: dict[str, float] = {}
-        for key, vals in (
-            ("cpu", dyn["cpuutil"]),
-            ("disk", dyn["diskutil"]),
-            ("net", dyn["netutil"]),
-        ):
-            total = 0.0
-            for v in vals:
-                total += v
-            ref[key] = total / n
-        total = 0.0
-        for i in range(n):
-            cap = table.memory_mb[rows[i]]
-            total += 1.0 - dyn["freememory_mb"][i] / cap if cap > 0 else 1.0
-        ref["mem"] = total / n
-        gtotal, gnodes = 0.0, 0
-        for i in range(n):
-            gpus = table.gpus[rows[i]]
-            if gpus > 0:
-                gtotal += 1.0 - dyn["gpus_idle"][i] / gpus
-                gnodes += 1
-        ref["gpu"] = gtotal / gnodes
-        assert got == ref, "masked-array reduction must equal the scalar fold"
-
-    def test_capability_matches_nodemetrics(self):
-        from repro.core.nodeinfo import NodeMetrics
-
-        table = NodeTable()
-        rows, mets = [], []
-        for i in range(6):
-            rows.append(_register(table, f"n{i}", i))
-            mets.append(
-                NodeMetrics(
-                    name=f"n{i}", time=0.0,
-                    core_rate=2.0 + 0.1 * i, cores=8, gpus=i % 3,
-                    ssd=bool(i % 2), netbandwidth=1000.0 * (1 + i % 4),
-                    disk_bandwidth=120.0 + i, memory_mb=1024.0 * (8 + i),
-                    cpuutil=0.0, diskutil=0.0, netutil=0.0, gpus_idle=0,
-                    freememory_mb=0.0,
-                )
-            )
-        arr = np.array(rows, dtype=np.intp)
-        for kind in ResourceKind:
-            col = table.capability(arr, kind)
-            assert [float(x) for x in col] == [m.capability(kind) for m in mets]
-
-
-class TestMonitorMeanCrossover:
-    def test_array_and_scalar_paths_agree(self, monkeypatch):
-        # The monitor picks scalar vs array by cluster size (VEC_MIN_NODES);
-        # both must produce the identical dict for the same reports.
-        import repro.core.resource_monitor as rmod
-        from repro.experiments.schedbench import World
-
-        world = World(30, 10, "incremental")
-        via_array = world.rm._mean_utilization()
-        monkeypatch.setattr(rmod, "VEC_MIN_NODES", 10_000)
-        via_scalar = world.rm._mean_utilization()
-        assert via_array == via_scalar
-        assert set(via_array) >= {"cpu", "mem", "disk", "net", "gpu"}
