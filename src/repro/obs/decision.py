@@ -508,14 +508,12 @@ class Observability:
             "sim.events_fired": sim.events_processed,
             "sim.heap_compactions": sim.heap_compactions,
         }
-        refits = refits_coalesced = refits_vectorized = 0
+        refits = refits_coalesced = 0
         for r in resources:
             refits += r.refits
             refits_coalesced += r.refits_coalesced
-            refits_vectorized += r.refits_vectorized
         values["fluid.refits"] = refits
         values["fluid.refits_coalesced"] = refits_coalesced
-        values["fluid.refits_vectorized"] = refits_vectorized
         base = self._sim_counter_base
         for name, value in values.items():
             delta = value - base.get(name, 0)

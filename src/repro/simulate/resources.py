@@ -22,18 +22,6 @@ Two design rules keep the event-loop traffic low (DESIGN.md §12):
   flushed before they are read and before the clock advances, so results
   are bit-identical to refitting at every mutation.
 
-Flow state is stored struct-of-arrays (DESIGN.md §14): ``remaining``,
-``cap``, ``weight`` and ``rate`` are parallel float64 columns indexed by a
-free-listed slot, and a separate order array preserves the logical
-(insertion) order the scalar engine iterated its flow list in.  Settling,
-rate refits and deadline projection over many flows run as numpy array ops;
-below ``VEC_MIN_FLOWS`` active flows the same arithmetic runs as scalar
-loops over the columns.  Both paths produce bit-identical floats — the
-vectorized waterfill replays the scalar division/subtraction sequence
-exactly (see :func:`waterfill_into`) and totals are accumulated with
-``np.add.accumulate`` (a strict left fold, the same rounding sequence as the
-scalar ``+=`` chain).
-
 :class:`MemoryPool` is the space (not rate) counterpart used for executor
 heaps and node RAM.
 """
@@ -43,8 +31,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.simulate.engine import EventHandle, Simulator
 
 _EPS = 1e-12
@@ -53,14 +39,6 @@ _EPS = 1e-12
 # below the float ulp of the clock, so the completion event would re-fire at
 # the same instant forever.
 _TIME_EPS = 1e-9
-
-# Active-flow count at which the array paths take over from the scalar
-# loops.  Purely a performance constant: both paths are bit-identical (the
-# waterfill parity tests compare them directly).
-# 24 keeps dense-but-small resources (e.g. a node NIC with ~16 concurrent
-# transfers) on the cheap scalar loops instead of flapping across the
-# boundary at every admit/complete.
-VEC_MIN_FLOWS = 24
 
 _INF = math.inf
 
@@ -78,24 +56,21 @@ def _effectively_done(remaining: float, rate: float, now: float) -> bool:
 class FlowHandle:
     """One consumer's claim on a :class:`FluidResource`.
 
-    While the flow is active its mutable state (``remaining``, ``rate``)
-    lives in the owning resource's column arrays; the handle holds the slot
-    index.  On completion or abort the final values are copied back into the
-    handle so they stay readable after the slot is recycled.
+    ``remaining`` and ``rate`` are advanced by the owning resource while the
+    flow is active and keep their final values after completion or abort.
     """
 
     __slots__ = (
         "resource",
         "work",
+        "remaining",
         "cap",
+        "rate",
         "on_complete",
         "done",
         "aborted",
         "started_at",
         "weight",
-        "_slot",
-        "_remaining_f",
-        "_rate_f",
     )
 
     def __init__(
@@ -109,33 +84,18 @@ class FlowHandle:
     ):
         self.resource = resource
         self.work = work
+        self.remaining = work
         self.cap = cap
+        self.rate = 0.0
         self.on_complete = on_complete
         self.done = False
         self.aborted = False
         self.started_at = now
         self.weight = weight
-        self._slot = -1
-        self._remaining_f = work
-        self._rate_f = 0.0
 
     @property
     def active(self) -> bool:
         return not (self.done or self.aborted)
-
-    @property
-    def remaining(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return self.resource._rem_mv[s]
-        return self._remaining_f
-
-    @property
-    def rate(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return self.resource._rate_mv[s]
-        return self._rate_f
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -148,8 +108,7 @@ def waterfill(capacity: float, caps: Iterable[float | None]) -> list[float]:
     """Max-min fair allocation of ``capacity`` among consumers with caps.
 
     ``None`` (or ``math.inf``) means uncapped.  Returns the per-consumer
-    rates in input order.  This is the scalar reference implementation; the
-    array engine (:func:`waterfill_into`) replays the same float sequence.
+    rates in input order.
     """
     caps = list(caps)
     n = len(caps)
@@ -228,103 +187,6 @@ def waterfill_weighted(
     return rates
 
 
-def waterfill_into(capacity: float, caps: np.ndarray, out: np.ndarray) -> None:
-    """Array waterfill, bit-identical to :func:`waterfill`.
-
-    ``caps`` is a float64 array with ``+inf`` marking uncapped consumers;
-    rates are written to ``out`` in input order.
-
-    Parity argument (DESIGN.md §14): the scalar loop visits consumers in
-    stable cap order and alternates two kinds of steps — *clipped* steps
-    (``alloc = cap``, so the running capacity evolves by a pure subtraction
-    chain) and *fair* steps (``alloc = remaining_cap / remaining``, a
-    data-dependent division chain).  The clipped steps form a maximal prefix
-    of the sorted order in all but ulp-degenerate cases, and a subtraction
-    chain is exactly ``np.subtract.accumulate`` (a strict left fold with the
-    same IEEE rounding at every step), so that prefix is detected and
-    allocated entirely with array ops: one stable argsort, one accumulate,
-    one comparison.  The division chain that follows is irreducibly
-    sequential — each divisor depends on the previous subtraction's rounding
-    — so it runs as a scalar loop *continuing the same algorithm* from the
-    accumulated state; if the prefix ended early because of an ulp anomaly
-    (an unclipped consumer followed by a clipped one) the scalar
-    continuation clips exactly where the reference would.  Every float on
-    every path is therefore produced by the same operation sequence as the
-    scalar reference.
-    """
-    n = len(caps)
-    if n == 0:
-        return
-    out[:n] = 0.0
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    # Running capacity assuming each sorted consumer so far was clipped:
-    # chain[k] = capacity - cap_0 - ... - cap_{k-1}, with the reference
-    # loop's exact left-to-right rounding.
-    chain = np.empty(n + 1)
-    chain[0] = capacity
-    chain[1:] = sorted_caps
-    cpref = np.subtract.accumulate(chain)
-    divisors = np.arange(n, 0, -1, dtype=np.float64)
-    fair = cpref[:n] / divisors
-    clipped = (sorted_caps <= fair) & (cpref[:n] > _EPS)
-    j = n if clipped.all() else int(np.argmin(clipped))
-    if j:
-        out[order[:j]] = sorted_caps[:j]
-    if j >= n:
-        return
-    # Scalar continuation: the fair-share division chain (plus any
-    # ulp-degenerate late clips), identical to the reference loop's tail.
-    c = float(cpref[j])
-    remaining = n - j
-    caps_tail = sorted_caps[j:].tolist()
-    order_tail = order[j:].tolist()
-    for cap, idx in zip(caps_tail, order_tail):
-        if c <= _EPS:
-            break
-        f = c / remaining
-        alloc = f if cap > f else cap
-        out[idx] = alloc
-        c -= alloc
-        remaining -= 1
-
-
-def waterfill_weighted_into(
-    capacity: float, caps: np.ndarray, weights: np.ndarray, out: np.ndarray
-) -> None:
-    """Array entry point for the weighted fill, bit-identical to
-    :func:`waterfill_weighted`.
-
-    The weighted chain threads *two* data-dependent scalars (capacity and
-    total weight) through every step, so only the key computation and the
-    stable sort vectorize; the fill itself is the reference loop.  Weighted
-    flows are rare (scheduling-pool experiments), so this path is kept
-    simple rather than fast.
-    """
-    n = len(caps)
-    if n == 0:
-        return
-    out[:n] = 0.0
-    # sum(weights) in the reference starts from int 0; 0 + w0 == w0 exactly,
-    # so the accumulate's left fold reproduces the same rounding sequence.
-    remaining_w = float(np.add.accumulate(weights)[-1]) if n > 1 else float(weights[0])
-    keys = caps / weights
-    order = np.argsort(keys, kind="stable")
-    c = capacity
-    caps_l = caps.tolist()
-    weights_l = weights.tolist()
-    for idx in order.tolist():
-        if c <= _EPS:
-            break
-        w = weights_l[idx]
-        f = c * w / remaining_w
-        cap = caps_l[idx]
-        alloc = f if cap > f else cap
-        out[idx] = alloc
-        c -= alloc
-        remaining_w -= w
-
-
 class FluidResource:
     """A shared, rate-divisible resource attached to a simulator.
 
@@ -336,8 +198,6 @@ class FluidResource:
             consumer rates — used to model e.g. GC drag on compute.  It is
             re-read at every refit.
     """
-
-    _INITIAL_SLOTS = 8
 
     def __init__(
         self,
@@ -358,35 +218,13 @@ class FluidResource:
         # (ResourceMonitor) compare versions to skip re-reading idle
         # resources, so the version must move with the *logical* state.
         self.version = 0
-        # Struct-of-arrays flow storage (DESIGN.md §14): parallel float64
-        # columns indexed by slot, a LIFO free-list of recycled slots, and
-        # an order list holding the active slots in logical (insertion)
-        # order — the order the scalar engine's flow list iterated in.  The
-        # order stays a plain Python list: the scalar paths walk it with
-        # zero conversion cost, and the array paths gather it once per
-        # operation (removal via list.remove is the same O(n) the legacy
-        # engine paid for flows.remove, at C speed on ints).
-        cap0 = self._INITIAL_SLOTS
-        self._remaining = np.zeros(cap0)
-        self._cap = np.zeros(cap0)  # +inf == uncapped
-        self._weight = np.zeros(cap0)
-        self._rate = np.zeros(cap0)
-        # Memoryviews over the same buffers: scalar-path element access
-        # yields unboxed Python floats (~35% faster than numpy scalar
-        # indexing, and no np.float64 contamination of downstream math).
-        self._rem_mv = self._remaining.data
-        self._rate_mv = self._rate.data
-        self._weight_mv = self._weight.data
-        self._handles: list[FlowHandle | None] = [None] * cap0
-        self._free: list[int] = list(range(cap0 - 1, -1, -1))
-        self._order: list[int] = []
-        # Python-side cap cache parallel to _order (caps are immutable per
-        # flow): the scalar refit feeds it to waterfill with no per-element
-        # column reads at all.
-        self._caps_py: list[float | None] = []
-        # Maintained counts: finite-cap flows and non-unit-weight flows
-        # (selects the waterfill variant without scanning).
-        self._n_capped = 0
+        # Active flows in insertion order (the order settles, refits and
+        # deadline ties walk them in), with a parallel list of their caps fed
+        # straight to the waterfill.
+        self._flows: list[FlowHandle] = []
+        self._caps: list[float | None] = []
+        # Non-unit-weight flow count: selects the waterfill variant without
+        # scanning.
         self._n_weighted = 0
         self._last_settle = sim.now
         self.total_work_done = 0.0
@@ -400,11 +238,9 @@ class FluidResource:
         self._due: FlowHandle | None = None
         self._dirty = False
         self._rate_total = 0.0
-        # Refit accounting, exported as fluid.refits / fluid.refits_coalesced
-        # / fluid.refits_vectorized.
+        # Refit accounting, exported as fluid.refits / fluid.refits_coalesced.
         self.refits = 0
         self.refits_coalesced = 0
-        self.refits_vectorized = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -466,8 +302,8 @@ class FluidResource:
 
     @property
     def active_flows(self) -> int:
-        """Number of active flows — the live-slot count, O(1)."""
-        return len(self._order)
+        """Number of active flows, O(1)."""
+        return len(self._flows)
 
     def progress(self, flow: FlowHandle) -> float:
         """Work units completed so far for ``flow`` (settles first).
@@ -480,61 +316,22 @@ class FluidResource:
             return flow.work
         return max(0.0, flow.work - flow.remaining)
 
-    # -- slot management ----------------------------------------------------
-
-    def _grow(self) -> None:
-        old = len(self._handles)
-        new = old * 2
-        for col in ("_remaining", "_cap", "_weight", "_rate"):
-            arr = np.zeros(new)
-            arr[:old] = getattr(self, col)
-            setattr(self, col, arr)
-        self._rem_mv = self._remaining.data
-        self._rate_mv = self._rate.data
-        self._weight_mv = self._weight.data
-        self._handles.extend([None] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
+    # -- flow list ----------------------------------------------------------
 
     def _attach(self, flow: FlowHandle) -> None:
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        flow._slot = slot
-        cap = flow.cap
-        self._rem_mv[slot] = flow.work
-        self._cap[slot] = _INF if cap is None else cap
-        self._weight_mv[slot] = flow.weight
-        self._rate_mv[slot] = 0.0
-        self._handles[slot] = flow
-        self._order.append(slot)
-        self._caps_py.append(cap)
-        if cap is not None:
-            self._n_capped += 1
+        self._flows.append(flow)
+        self._caps.append(flow.cap)
         if flow.weight != 1.0:
             self._n_weighted += 1
-
-    def _release_slot(self, flow: FlowHandle) -> None:
-        """Copy final values back to the handle and recycle its slot."""
-        slot = flow._slot
-        if slot < 0:  # pragma: no cover - defensive
-            return
-        flow._remaining_f = self._rem_mv[slot]
-        flow._rate_f = self._rate_mv[slot]
-        flow._slot = -1
-        self._handles[slot] = None
-        self._free.append(slot)
-        pos = self._order.index(slot)
-        del self._order[pos]
-        del self._caps_py[pos]
-        if flow.cap is not None:
-            self._n_capped -= 1
-        if flow.weight != 1.0:
-            self._n_weighted -= 1
 
     def _detach(self, flow: FlowHandle) -> None:
         if flow is self._due:
             self._due = None
-        self._release_slot(flow)
+        pos = self._flows.index(flow)
+        del self._flows[pos]
+        del self._caps[pos]
+        if flow.weight != 1.0:
+            self._n_weighted -= 1
 
     # -- internals ----------------------------------------------------------
 
@@ -554,35 +351,15 @@ class FluidResource:
             # The clock never advances past a dirty instant (the engine runs
             # the deferred flush first), so the rates — and their
             # incrementally maintained sum — are final for the elapsed span.
-            order = self._order
-            n = len(order)
-            if n >= VEC_MIN_FLOWS:
-                ord_ = np.array(order, dtype=np.intp)
-                rates = self._rate[ord_]
-                step = rates * dt
-                rem = self._remaining[ord_]
-                np.subtract(rem, step, out=rem)
-                np.maximum(rem, 0.0, out=rem)
-                self._remaining[ord_] = rem
-                # Exact left-fold accumulation: same rounding sequence as the
-                # scalar += chain (rate==0 rows add 0.0, which is a no-op on
-                # a non-negative running total).
-                acc = np.empty(n + 1)
-                acc[0] = self.total_work_done
-                acc[1:] = step
-                self.total_work_done = float(np.add.accumulate(acc)[-1])
-            elif n:
-                rem_mv = self._rem_mv
-                rate_mv = self._rate_mv
-                twd = self.total_work_done
-                for s in order:
-                    r = rate_mv[s]
-                    if r > 0:
-                        step = r * dt
-                        nr = rem_mv[s] - step
-                        rem_mv[s] = nr if nr > 0.0 else 0.0
-                        twd += step
-                self.total_work_done = twd
+            twd = self.total_work_done
+            for f in self._flows:
+                r = f.rate
+                if r > 0:
+                    step = r * dt
+                    nr = f.remaining - step
+                    f.remaining = nr if nr > 0.0 else 0.0
+                    twd += step
+            self.total_work_done = twd
             self.busy_integral += min(1.0, self._rate_total / self.capacity) * dt
             self._last_settle = now
         elif dt < -1e-9:  # pragma: no cover - engine guarantees monotonic time
@@ -627,30 +404,14 @@ class FluidResource:
         self.sim.defer(self._flush)
 
     def _any_due_now(self) -> bool:
-        now = self.sim.now
-        order = self._order
-        n = len(order)
-        if n == 0:
+        flows = self._flows
+        if not flows:
             return False
-        thresh = max(_TIME_EPS, 8.0 * math.ulp(max(1.0, now)))
-        if n >= VEC_MIN_FLOWS:
-            ord_ = np.array(order, dtype=np.intp)
-            rates = self._rate[ord_]
-            rem = self._remaining[ord_]
-            live = rates > _EPS
-            if not live.any():
-                return False
-            # _effectively_done, vectorized: tiny residue, or eta below the
-            # clock's resolution at this instant.
-            eta = rem / np.where(live, rates, 1.0)
-            due = live & ((rem <= _EPS) | (eta <= thresh))
-            return bool(due.any())
-        rem_mv = self._rem_mv
-        rate_mv = self._rate_mv
-        for s in order:
-            r = rate_mv[s]
+        thresh = max(_TIME_EPS, 8.0 * math.ulp(max(1.0, self.sim.now)))
+        for f in flows:
+            r = f.rate
             if r > _EPS:
-                rem = rem_mv[s]
+                rem = f.remaining
                 if rem <= _EPS or rem / r <= thresh:
                     return True
         return False
@@ -665,40 +426,20 @@ class FluidResource:
     def _recompute_rates(self) -> None:
         """Re-run the waterfill and refresh every flow's granted rate."""
         scale = self._scale()
-        order = self._order
-        n = len(order)
-        if n == 0:
+        flows = self._flows
+        if not flows:
             self._rate_total = 0.0
             return
-        if n >= VEC_MIN_FLOWS:
-            self.refits_vectorized += 1
-            ord_ = np.array(order, dtype=np.intp)
-            rates = np.empty(n)
-            if self._n_weighted:
-                waterfill_weighted_into(
-                    self.capacity, self._cap[ord_], self._weight[ord_], rates
-                )
-            else:
-                # weight == 1.0 everywhere: cap * weight is bit-identical to
-                # cap, so the caps column feeds the unweighted fill directly.
-                waterfill_into(self.capacity, self._cap[ord_], rates)
-            np.multiply(rates, scale, out=rates)
-            self._rate[ord_] = rates
-            # Left fold == the scalar total += rate chain (0.0 + r0 == r0).
-            self._rate_total = float(np.add.accumulate(rates)[-1])
-            return
         if self._n_weighted:
-            weight_mv = self._weight_mv
             rates = waterfill_weighted(
-                self.capacity, self._caps_py, [weight_mv[s] for s in order]
+                self.capacity, self._caps, [f.weight for f in flows]
             )
         else:
-            rates = waterfill(self.capacity, self._caps_py)
-        rate_mv = self._rate_mv
+            rates = waterfill(self.capacity, self._caps)
         total = 0.0
-        for i, s in enumerate(order):
-            r = rates[i] * scale
-            rate_mv[s] = r
+        for f, rate in zip(flows, rates):
+            r = rate * scale
+            f.rate = r
             total += r
         self._rate_total = total
 
@@ -709,46 +450,22 @@ class FluidResource:
         now = self.sim.now
         best: FlowHandle | None = None
         best_time = _INF
-        order = self._order
-        n = len(order)
-        if n >= VEC_MIN_FLOWS:
-            ord_ = np.array(order, dtype=np.intp)
-            rates = self._rate[ord_]
-            rem = self._remaining[ord_]
-            live = rates > _EPS
-            if live.any():
-                thresh = max(_TIME_EPS, 8.0 * math.ulp(max(1.0, now)))
-                eta = rem / np.where(live, rates, 1.0)
-                done_now = (rem <= _EPS) | (eta <= thresh)
-                eta = np.where(done_now, 0.0, eta)
-                # Projected absolute deadline, same float the per-flow engine
-                # passed to the event queue.  argmin returns the *first*
-                # minimum in logical order — the strict-< tie rule.
-                t = np.where(live, now + eta, _INF)
-                i = int(np.argmin(t))
-                ti = float(t[i])
-                if ti < _INF:
-                    best_time = ti
-                    best = self._handles[int(ord_[i])]
-        elif n:
-            rem_mv = self._rem_mv
-            rate_mv = self._rate_mv
-            thresh = max(_TIME_EPS, 8.0 * math.ulp(max(1.0, now)))
-            for s in order:
-                r = rate_mv[s]
-                if r > _EPS:
-                    remv = rem_mv[s]
-                    eta = remv / r
-                    if remv <= _EPS or eta <= thresh:
-                        eta = 0.0
-                    # Strict < keeps the earliest flow in list order on ties
-                    # — the order completions fired in when every flow
-                    # re-keyed its own event on each refit.
-                    t = now + eta
-                    if t < best_time:
-                        best_time = t
-                        best = self._handles[s]
-                # A starved flow (rate 0) simply waits for the next refit.
+        thresh = max(_TIME_EPS, 8.0 * math.ulp(max(1.0, now)))
+        for f in self._flows:
+            r = f.rate
+            if r > _EPS:
+                remv = f.remaining
+                eta = remv / r
+                if remv <= _EPS or eta <= thresh:
+                    eta = 0.0
+                # Strict < keeps the earliest flow in list order on ties
+                # — the order completions fired in when every flow
+                # re-keyed its own event on each refit.
+                t = now + eta
+                if t < best_time:
+                    best_time = t
+                    best = f
+            # A starved flow (rate 0) simply waits for the next refit.
         self._due = best
         if (
             best is not None
@@ -790,11 +507,9 @@ class FluidResource:
             self.version += 1
             self._refit()
             return
-        slot = flow._slot
-        if slot >= 0:  # pragma: no branch
-            self._rem_mv[slot] = 0.0
+        flow.remaining = 0.0
         flow.done = True
-        self._release_slot(flow)
+        self._detach(flow)
         self.version += 1
         # Another flow due at this same instant gets a fresh sentinel right
         # here (before on_complete's side effects), matching the per-flow

@@ -295,7 +295,6 @@ class TestSimCounterExport:
         class FakeRes:
             refits = 7
             refits_coalesced = 3
-            refits_vectorized = 2
 
         obs = Observability()
         sim, res = FakeSim(), FakeRes()
@@ -307,7 +306,6 @@ class TestSimCounterExport:
         assert c["sim.heap_compactions"] == 2
         assert c["fluid.refits"] == 7
         assert c["fluid.refits_coalesced"] == 3
-        assert c["fluid.refits_vectorized"] == 2
         # No movement -> no double counting.
         obs.record_sim_counters(sim, [res])
         assert c["sim.events_scheduled"] == 100
@@ -355,7 +353,3 @@ class TestSimCounterExport:
         assert c["fluid.refits_coalesced"] > 0
         # Flushed totals match the live objects exactly (delta protocol).
         assert c["sim.events_scheduled"] == sim.events_scheduled
-        # The vectorized-refit counter rides the same quiesce flush:
-        # registered even when a run is too small to trip the array path, so
-        # its absence in an export means the flush wiring broke.
-        assert "fluid.refits_vectorized" in c

@@ -226,7 +226,13 @@ class TestFluidResource:
         assert len(done) == 1
 
     @given(
-        works=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8),
+        # Up to 64 concurrent flows.  The count is drawn first: a bare
+        # ``st.lists(max_size=64)`` stays under ~20 elements in 60 examples.
+        works=st.integers(1, 64).flatmap(
+            lambda n: st.lists(
+                st.floats(min_value=0.01, max_value=100.0), min_size=n, max_size=n
+            )
+        ),
         capacity=st.floats(min_value=0.5, max_value=50.0),
     )
     @settings(max_examples=60, deadline=None)
